@@ -6,7 +6,9 @@
 //     survives and the next frame decodes normally;
 //   * an oversized length is fatal (kOversized), truncated input is
 //     kNeedMore, and garbage payloads decode to kInvalidArgument — never
-//     UB, never an exception.
+//     UB, never an exception;
+//   * the exact bytes of one frame per message type are frozen (golden
+//     hex below), so encode and decode cannot drift together unnoticed.
 
 #include "serve/protocol.hpp"
 
@@ -33,6 +35,17 @@ Frame decode_single(const std::string& bytes) {
   EXPECT_EQ(decoder.next(frame), FrameDecoder::Result::kFrame);
   EXPECT_EQ(decoder.next(frame), FrameDecoder::Result::kNeedMore);
   return frame;
+}
+
+/// Lower-case hex of `bytes`, two digits per byte, no separators.
+std::string hex(const std::string& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(digits[c >> 4]);
+    out.push_back(digits[c & 0xf]);
+  }
+  return out;
 }
 
 ProblemSpec sample_problem() {
@@ -307,6 +320,241 @@ TEST(ServeProtocol, SweepRequestRejectsAbsurdProbeCount) {
   payload[payload.size() - 2] = static_cast<char>(0xff);
   payload[payload.size() - 1] = static_cast<char>(0x7f);
   EXPECT_FALSE(SweepRequest::decode(payload).is_ok());
+}
+
+/// Golden frames: a small problem with fixed field values, one frame per
+/// message type. Each expectation is [type][len u64][payload][crc32], the
+/// payload split one field per string piece.
+ProblemSpec golden_problem() {
+  ProblemSpec spec;
+  spec.dag_text = "dag 1\ntask 0 2\n";
+  spec.processors = 1;
+  spec.speed_kind = model::SpeedModelKind::kDiscrete;
+  spec.fmin = 0.25;
+  spec.levels = {0.5, 1.0};
+  spec.deadline = 4.0;
+  spec.lambda0 = 0.5;
+  spec.dexp = 3.0;
+  return spec;
+}
+
+TEST(ServeProtocolGolden, EveryMessageTypeFramesToFixedBytes) {
+  Hello hello;
+  hello.tenant = "acme";
+  EXPECT_EQ(hex(encode_frame(MsgType::kHello, hello.encode())),
+            "01"  // type kHello
+            "0e00000000000000"  // payload length 14
+            "45415331"  // magic "EAS1"
+            "0100"  // version 1
+            "04000000"  // tenant length 4
+            "61636d65"  // "acme"
+            "647f696a");  // crc32
+
+  HelloAck ack;
+  ack.status = common::Status::unsupported("v2");
+  EXPECT_EQ(hex(encode_frame(MsgType::kHelloAck, ack.encode())),
+            "02"  // type kHelloAck
+            "0900000000000000"  // payload length 9
+            "0100"  // version 1
+            "05"  // status code kUnsupported
+            "02000000"  // message length 2
+            "7632"  // message
+            "0c3540ba");  // crc32
+
+  SolveRequest solve;
+  solve.request_id = 42;
+  solve.problem = golden_problem();
+  solve.solver = "vdd-lp";
+  solve.job_deadline_ms = 0.5;
+  EXPECT_EQ(hex(encode_frame(MsgType::kSolveRequest, solve.encode())),
+            "03"  // type kSolveRequest
+            "7f00000000000000"  // payload length 127
+            "2a00000000000000"  // request_id 42
+            "0f000000"  // dag_text length 15
+            "64616720310a7461736b203020320a"  // "dag 1\ntask 0 2\n"
+            "01000000"  // processors 1
+            "01"  // speed kind kDiscrete
+            "000000000000d03f"  // fmin 0.25
+            "000000000000f03f"  // fmax 1.0
+            "0000000000000000"  // delta 0
+            "02000000"  // level count 2
+            "000000000000e03f"  // level 0.5
+            "000000000000f03f"  // level 1.0
+            "0000000000001040"  // deadline 4.0
+            "00"  // tricrit 0
+            "000000000000e03f"  // lambda0 0.5
+            "0000000000000840"  // dexp 3.0
+            "0000000000000000"  // frel 0
+            "06000000"  // solver length 6
+            "7664642d6c70"  // "vdd-lp"
+            "000000000000e03f"  // job_deadline_ms 0.5
+            "7aaaad56");  // crc32
+
+  SweepRequest sweep;
+  sweep.request_id = 7;
+  sweep.problem = golden_problem();
+  sweep.problem.tricrit = true;
+  sweep.problem.frel = 1.0;
+  sweep.axis = WireAxis::kReliability;
+  sweep.lo = 0.5;
+  sweep.hi = 1.0;
+  sweep.initial_points = 3;
+  sweep.max_points = 5;
+  sweep.prev_probes = {0.75};
+  EXPECT_EQ(hex(encode_frame(MsgType::kSweepRequest, sweep.encode())),
+            "04"  // type kSweepRequest
+            "9e00000000000000"  // payload length 158
+            "0700000000000000"  // request_id 7
+            "0f000000"  // dag_text length 15
+            "64616720310a7461736b203020320a"  // "dag 1\ntask 0 2\n"
+            "01000000"  // processors 1
+            "01"  // speed kind kDiscrete
+            "000000000000d03f"  // fmin 0.25
+            "000000000000f03f"  // fmax 1.0
+            "0000000000000000"  // delta 0
+            "02000000"  // level count 2
+            "000000000000e03f"  // level 0.5
+            "000000000000f03f"  // level 1.0
+            "0000000000001040"  // deadline 4.0
+            "01"  // tricrit 1
+            "000000000000e03f"  // lambda0 0.5
+            "0000000000000840"  // dexp 3.0
+            "000000000000f03f"  // frel 1.0
+            "01"  // axis kReliability
+            "000000000000e03f"  // lo 0.5
+            "000000000000f03f"  // hi 1.0
+            "03000000"  // initial_points 3
+            "05000000"  // max_points 5
+            "00000000"  // solver length 0
+            "0000000000000000"  // job_deadline_ms 0
+            "01000000"  // probe count 1
+            "000000000000e83f"  // probe 0.75
+            "c97851f1");  // crc32
+
+  StatRequest stat;
+  stat.request_id = 3;
+  EXPECT_EQ(hex(encode_frame(MsgType::kStatRequest, stat.encode())),
+            "05"  // type kStatRequest
+            "0800000000000000"  // payload length 8
+            "0300000000000000"  // request_id 3
+            "9d85ddc0");  // crc32
+
+  SolveResponse solved;
+  solved.request_id = 42;
+  solved.energy = 2.0;
+  solved.makespan = 4.0;
+  solved.wall_ms = 0.5;
+  solved.solver = "vdd-lp";
+  solved.exact = true;
+  solved.iterations = 3;
+  solved.re_executed = 1;
+  EXPECT_EQ(hex(encode_frame(MsgType::kSolveResponse, solved.encode())),
+            "06"  // type kSolveResponse
+            "3c00000000000000"  // payload length 60
+            "2a00000000000000"  // request_id 42
+            "00"  // status code kOk
+            "00000000"  // message length 0
+            "0000000000000040"  // energy 2.0
+            "0000000000001040"  // makespan 4.0
+            "000000000000e03f"  // wall_ms 0.5
+            "06000000"  // solver length 6
+            "7664642d6c70"  // "vdd-lp"
+            "01"  // exact 1
+            "0300000000000000"  // iterations 3
+            "01000000"  // re_executed 1
+            "16566e5d");  // crc32
+
+  SweepResponse swept;
+  swept.request_id = 7;
+  swept.points = {{4.0, 2.0, 4.0, "x", true}};
+  swept.probes = {4.0};
+  swept.evaluated = 1;
+  swept.wall_ms = 1.0;
+  EXPECT_EQ(hex(encode_frame(MsgType::kSweepResponse, swept.encode())),
+            "07"  // type kSweepResponse
+            "6400000000000000"  // payload length 100
+            "0700000000000000"  // request_id 7
+            "00"  // status code kOk
+            "00000000"  // message length 0
+            "00"  // axis kDeadline
+            "01000000"  // point count 1
+            "0000000000001040"  // constraint 4.0
+            "0000000000000040"  // energy 2.0
+            "0000000000001040"  // makespan 4.0
+            "01000000"  // solver length 1
+            "78"  // "x"
+            "01"  // exact 1
+            "01000000"  // probe count 1
+            "0000000000001040"  // probe 4.0
+            "0100000000000000"  // evaluated 1
+            "0000000000000000"  // infeasible 0
+            "0000000000000000"  // cache_hits 0
+            "0000000000000000"  // prefetched 0
+            "000000000000f03f"  // wall_ms 1.0
+            "98c5826c");  // crc32
+
+  StatResponse stats;
+  stats.request_id = 3;
+  stats.threads = 2;
+  stats.cache_entries = 5;
+  stats.has_store = true;
+  stats.store_bytes = 256;
+  stats.tenant_accepted = 1;
+  EXPECT_EQ(hex(encode_frame(MsgType::kStatResponse, stats.encode())),
+            "08"  // type kStatResponse
+            "7900000000000000"  // payload length 121
+            "0300000000000000"  // request_id 3
+            "0200000000000000"  // threads 2
+            "0000000000000000"  // queued_jobs 0
+            "0500000000000000"  // cache_entries 5
+            "0000000000000000"  // cache_hits 0
+            "0000000000000000"  // cache_misses 0
+            "0000000000000000"  // store_hits 0
+            "01"  // has_store 1
+            "0000000000000000"  // store_entries 0
+            "0000000000000000"  // store_blobs 0
+            "0001000000000000"  // store_bytes 256
+            "0100000000000000"  // tenant_accepted 1
+            "0000000000000000"  // tenant_shed 0
+            "0000000000000000"  // tenant_completed 0
+            "0000000000000000"  // tenant_in_flight 0
+            "0000000000000000"  // tenant_deadline_exceeded 0
+            "f0fda810");  // crc32
+
+  ErrorResponse error;
+  error.status = common::Status::invalid("bad");
+  EXPECT_EQ(hex(encode_frame(MsgType::kError, error.encode())),
+            "09"  // type kError
+            "1000000000000000"  // payload length 16
+            "0000000000000000"  // request_id 0
+            "04"  // status code kInvalidArgument
+            "03000000"  // message length 3
+            "626164"  // message
+            "8586ecd7");  // crc32
+
+  MetricsRequest metrics;
+  metrics.request_id = 5;
+  metrics.format = MetricsFormat::kJson;
+  EXPECT_EQ(hex(encode_frame(MsgType::kMetricsRequest, metrics.encode())),
+            "0a"  // type kMetricsRequest
+            "0900000000000000"  // payload length 9
+            "0500000000000000"  // request_id 5
+            "01"  // format kJson
+            "c6fbb829");  // crc32
+
+  MetricsResponse scraped;
+  scraped.request_id = 5;
+  scraped.body = "up 1\n";
+  EXPECT_EQ(hex(encode_frame(MsgType::kMetricsResponse, scraped.encode())),
+            "0b"  // type kMetricsResponse
+            "1700000000000000"  // payload length 23
+            "0500000000000000"  // request_id 5
+            "00"  // status code kOk
+            "00000000"  // message length 0
+            "00"  // format kText
+            "05000000"  // body length 5
+            "757020310a"  // "up 1\n"
+            "0617b860");  // crc32
 }
 
 }  // namespace

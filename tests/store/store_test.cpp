@@ -1,8 +1,9 @@
 // Persistent solve-store acceptance: write -> reopen serves bit-identical
 // schedules with zero solver calls, a torn or corrupt tail costs at most
 // the records it touched, compaction preserves every live entry, a reader
-// and a writer share one log, and the cache-side policies (byte cap, blob
-// refcounting, spill-on-evict, warm starts) behave as documented.
+// and a writer share one log, the cache-side policies (byte cap, blob
+// refcounting, spill-on-evict, warm starts) behave as documented, and the
+// exact bytes of a small log file are frozen (golden hex).
 
 #include "store/store.hpp"
 
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "core/problem.hpp"
@@ -181,6 +183,124 @@ TEST(SerializeRoundTrip, ScheduleBitsSurvive) {
     EXPECT_EQ(report.schedule.at(t).executions[0].speed,
               original->value().schedule.at(t).executions[0].speed);
   }
+}
+
+/// Lower-case hex of `bytes`, two digits per byte, no separators.
+std::string hex(const std::string& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(digits[c >> 4]);
+    out.push_back(digits[c & 0xf]);
+  }
+  return out;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+TEST(StoreLogGolden, WholeFileIsFixedBytes) {
+  // Header, one blob, one OK entry whose schedule carries a VDD profile,
+  // one failed-Status entry: the whole file, byte for byte.
+  const std::string path = temp_log_path("golden");
+  const api::InstanceDigest digest{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  const std::string instance = "inst";
+  api::SolveReport report;
+  report.energy = 2.0;
+  report.makespan = 4.0;
+  report.solver = "vdd-lp";
+  report.problem = api::ProblemKind::kBiCrit;
+  report.wall_ms = 0.5;
+  report.iterations = 3;
+  report.exact = true;
+  report.schedule = sched::Schedule(2);
+  report.schedule.at(0) = sched::TaskDecision::single(1.0);
+  report.schedule.at(1).executions = {sched::Execution{0.0, {{0.5, 2.0}, {1.0, 1.0}}}};
+  const SolveStore::StoredResult ok =
+      std::make_shared<const common::Result<api::SolveReport>>(std::move(report));
+  const SolveStore::StoredResult failed =
+      std::make_shared<const common::Result<api::SolveReport>>(
+          common::Status::infeasible("late"));
+  {
+    SolveStore store = open_or_die(options_for(path));
+    ASSERT_TRUE(store.put(digest, instance, "vdd-lp", bicrit_point(4.0), ok).is_ok());
+    ASSERT_TRUE(store.put(digest, instance, "", bicrit_point(1.0), failed).is_ok());
+  }
+  EXPECT_EQ(hex(read_file(path)),
+            "45415353544f5245"  // magic "EASSTORE"
+            "01000000"  // format version 1
+            "00000000"  // flags 0
+            "01"  // type kBlob
+            "2400000000000000"  // payload length 36
+            "0100000000000000"  // blob id 1
+            "efcdab8967452301"  // digest hi
+            "1032547698badcfe"  // digest lo
+            "0400000000000000"  // bytes length 4
+            "696e7374"  // "inst"
+            "58f66088"  // crc32
+            "02"  // type kEntry
+            "f000000000000000"  // payload length 240
+            "0100000000000000"  // blob id 1
+            "0600000000000000"  // solver length 6
+            "7664642d6c70"  // "vdd-lp"
+            "00"  // point kind BI-CRIT
+            "0000000000001040"  // deadline bits 4.0
+            "0000000000000000"  // frel bits 0
+            "0a00000000000000"  // approx_K 10
+            "0000000000000000"  // gap_tolerance bits 0
+            "0000000000000000"  // max_nodes 0
+            "204e000000000000"  // dp_buckets 20000
+            "0002000000000000"  // fork_grid 512
+            "0100000000000000"  // polish 1
+            "01"  // result ok
+            "0000000000000040"  // energy 2.0
+            "0000000000001040"  // makespan 4.0
+            "0600000000000000"  // solver length 6
+            "7664642d6c70"  // "vdd-lp"
+            "00"  // problem BI-CRIT
+            "000000000000e03f"  // wall_ms 0.5
+            "0300000000000000"  // iterations 3
+            "0000000000000000"  // re_executed 0
+            "01"  // exact 1
+            "0000000000000000"  // gap_bound 0
+            "0200000000000000"  // task count 2
+            "0100000000000000"  // task 0: execution count 1
+            "000000000000f03f"  // speed 1.0
+            "0000000000000000"  // profile length 0
+            "0100000000000000"  // task 1: execution count 1
+            "0000000000000000"  // speed 0
+            "0200000000000000"  // profile length 2
+            "000000000000e03f"  // interval speed 0.5
+            "0000000000000040"  // interval time 2.0
+            "000000000000f03f"  // interval speed 1.0
+            "000000000000f03f"  // interval time 1.0
+            "c3dd5037"  // crc32
+            "02"  // type kEntry
+            "5f00000000000000"  // payload length 95
+            "0100000000000000"  // blob id 1
+            "0000000000000000"  // solver length 0
+            "00"  // point kind BI-CRIT
+            "000000000000f03f"  // deadline bits 1.0
+            "0000000000000000"  // frel bits 0
+            "0a00000000000000"  // approx_K 10
+            "0000000000000000"  // gap_tolerance bits 0
+            "0000000000000000"  // max_nodes 0
+            "204e000000000000"  // dp_buckets 20000
+            "0002000000000000"  // fork_grid 512
+            "0100000000000000"  // polish 1
+            "00"  // result failed
+            "01"  // status code kInfeasible
+            "0400000000000000"  // message length 4
+            "6c617465"  // "late"
+            "927503eb");  // crc32
+
+  auto verified = SolveStore::verify(path);
+  ASSERT_TRUE(verified.is_ok()) << verified.status().to_string();
+  EXPECT_EQ(verified.value().blobs, 1u);
+  EXPECT_EQ(verified.value().entries, 2u);
+  EXPECT_EQ(verified.value().torn_bytes, 0u);
 }
 
 TEST(SolveStore, PutFindAcrossReopen) {
