@@ -1,7 +1,6 @@
 #include "api/digest.hpp"
 
-#include <cstring>
-
+#include "common/bytes.hpp"
 #include "core/problem.hpp"
 #include "graph/dag.hpp"
 #include "model/reliability.hpp"
@@ -11,79 +10,65 @@
 namespace easched::api {
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
+using common::ByteWriter;
 
-void append_i64(std::string& out, long long v) {
-  append_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void append_double(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  append_u64(out, bits);
-}
-
-void append_tag(std::string& out, char tag) { out.push_back(tag); }
-
-void append_dag(std::string& out, const graph::Dag& dag) {
-  append_tag(out, 'G');
-  append_i64(out, dag.num_tasks());
-  for (graph::TaskId t = 0; t < dag.num_tasks(); ++t) append_double(out, dag.weight(t));
-  append_tag(out, 'E');
-  append_i64(out, dag.num_edges());
+void append_dag(ByteWriter& w, const graph::Dag& dag) {
+  w.u8('G');
+  w.i64(dag.num_tasks());
+  for (graph::TaskId t = 0; t < dag.num_tasks(); ++t) w.f64(dag.weight(t));
+  w.u8('E');
+  w.i64(dag.num_edges());
   for (graph::TaskId t = 0; t < dag.num_tasks(); ++t) {
     for (graph::TaskId s : dag.successors(t)) {
-      append_i64(out, t);
-      append_i64(out, s);
+      w.i64(t);
+      w.i64(s);
     }
   }
 }
 
-void append_mapping(std::string& out, const sched::Mapping& mapping) {
-  append_tag(out, 'M');
-  append_i64(out, mapping.num_processors());
+void append_mapping(ByteWriter& w, const sched::Mapping& mapping) {
+  w.u8('M');
+  w.i64(mapping.num_processors());
   for (int p = 0; p < mapping.num_processors(); ++p) {
     const auto& order = mapping.order_on(p);
-    append_i64(out, static_cast<long long>(order.size()));
-    for (graph::TaskId t : order) append_i64(out, t);
+    w.i64(static_cast<std::int64_t>(order.size()));
+    for (graph::TaskId t : order) w.i64(t);
   }
 }
 
-void append_speeds(std::string& out, const model::SpeedModel& speeds) {
-  append_tag(out, 'S');
-  append_i64(out, static_cast<long long>(speeds.kind()));
-  append_double(out, speeds.fmin());
-  append_double(out, speeds.fmax());
-  append_double(out, speeds.delta());
-  append_i64(out, speeds.num_levels());
-  for (double level : speeds.levels()) append_double(out, level);
+void append_speeds(ByteWriter& w, const model::SpeedModel& speeds) {
+  w.u8('S');
+  w.i64(static_cast<std::int64_t>(speeds.kind()));
+  w.f64(speeds.fmin());
+  w.f64(speeds.fmax());
+  w.f64(speeds.delta());
+  w.i64(speeds.num_levels());
+  for (double level : speeds.levels()) w.f64(level);
 }
 
 // Reliability statics only: frel is a per-point quantity (the reliability
 // sweep varies it while everything else stays fixed), so it lives in the
 // point suffix, not the instance bytes.
-void append_reliability_statics(std::string& out, const model::ReliabilityModel& rel) {
-  append_tag(out, 'R');
-  append_double(out, rel.lambda0());
-  append_double(out, rel.sensitivity());
-  append_double(out, rel.fmin());
-  append_double(out, rel.fmax());
+void append_reliability_statics(ByteWriter& w, const model::ReliabilityModel& rel) {
+  w.u8('R');
+  w.f64(rel.lambda0());
+  w.f64(rel.sensitivity());
+  w.f64(rel.fmin());
+  w.f64(rel.fmax());
 }
 
-void append_options(std::string& out, const SolveOptions& opt) {
+void append_options(ByteWriter& w, const SolveOptions& opt) {
   // deadline_slack is deliberately absent: it is already folded into the
   // effective deadline, so (D=10, slack=1) and (D=5, slack=2) share a key.
   // start_durations is absent too: it is a warm-start hint the barrier
   // converges through, not an input that changes what problem is solved.
-  append_tag(out, 'O');
-  append_i64(out, opt.approx_K);
-  append_double(out, opt.gap_tolerance);
-  append_i64(out, opt.max_nodes);
-  append_i64(out, opt.dp_buckets);
-  append_i64(out, opt.fork_grid);
-  append_i64(out, opt.polish ? 1 : 0);
+  w.u8('O');
+  w.i64(opt.approx_K);
+  w.f64(opt.gap_tolerance);
+  w.i64(opt.max_nodes);
+  w.i64(opt.dp_buckets);
+  w.i64(opt.fork_grid);
+  w.i64(opt.polish ? 1 : 0);
 }
 
 std::uint64_t rotl64(std::uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
@@ -93,23 +78,23 @@ std::uint64_t rotl64(std::uint64_t x, int r) { return (x << r) | (x >> (64 - r))
 std::string instance_bytes(const SolveRequest& request) {
   std::string out;
   out.reserve(256);
+  ByteWriter w(out);
   // The namespace tag leads (when present) so tenants partition the byte
   // space before any structural field. An empty namespace appends nothing,
   // keeping the encoding byte-identical to pre-namespace stores; the 'T'
   // tag never collides with the 'P' every un-namespaced stream starts
   // with, so the two shapes stay prefix-free.
   if (!request.options.cache_namespace.empty()) {
-    append_tag(out, 'T');
-    append_i64(out, static_cast<long long>(request.options.cache_namespace.size()));
-    out += request.options.cache_namespace;
+    w.u8('T');
+    w.str<std::uint64_t>(request.options.cache_namespace);
   }
-  append_tag(out, 'P');
-  append_i64(out, static_cast<long long>(request.kind()));
-  append_dag(out, request.dag());
-  append_mapping(out, request.mapping());
-  append_speeds(out, request.speeds());
+  w.u8('P');
+  w.i64(static_cast<std::int64_t>(request.kind()));
+  append_dag(w, request.dag());
+  append_mapping(w, request.mapping());
+  append_speeds(w, request.speeds());
   if (request.kind() == ProblemKind::kTriCrit) {
-    append_reliability_statics(out, request.tricrit->reliability);
+    append_reliability_statics(w, request.tricrit->reliability);
   }
   return out;
 }
@@ -125,23 +110,15 @@ InstanceDigest digest_bytes(const std::string& bytes) {
   // byte string is identical on every host, as the cross-process contract
   // in the header promises.
   const std::size_t n = bytes.size();
-  auto load_word = [&](std::size_t at, std::size_t len) {
-    std::uint64_t w = 0;
-    for (std::size_t b = 0; b < len; ++b) {
-      w |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[at + b]))
-           << (8 * b);
-    }
-    return w;
-  };
   std::size_t i = 0;
   while (i + 8 <= n) {
-    const std::uint64_t w = load_word(i, 8);
+    const std::uint64_t w = common::load_le(bytes.data() + i, 8);
     lo = mix64(lo ^ w);
     hi = mix64(hi + rotl64(w, 31));
     i += 8;
   }
   if (i < n) {
-    const std::uint64_t w = load_word(i, n - i);
+    const std::uint64_t w = common::load_le(bytes.data() + i, n - i);
     lo = mix64(lo ^ w);
     hi = mix64(hi + rotl64(w, 31));
   }
@@ -155,16 +132,16 @@ InstanceDigest instance_digest(const SolveRequest& request) {
 }
 
 void append_point_bytes(std::string& out, const SolveRequest& request) {
-  append_tag(out, 'D');
-  append_double(out, request.deadline());
+  ByteWriter w(out);
+  w.u8('D');
+  w.f64(request.deadline());
   if (request.kind() == ProblemKind::kTriCrit) {
-    append_tag(out, 'F');
-    append_double(out, request.tricrit->reliability.frel());
+    w.u8('F');
+    w.f64(request.tricrit->reliability.frel());
   }
-  append_tag(out, 'N');
-  append_i64(out, static_cast<long long>(request.solver.size()));
-  out += request.solver;
-  append_options(out, request.options);
+  w.u8('N');
+  w.str<std::uint64_t>(request.solver);
+  append_options(w, request.options);
 }
 
 }  // namespace easched::api

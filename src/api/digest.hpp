@@ -17,8 +17,9 @@
 // frontier/cache.hpp for the interning scheme that makes per-probe
 // lookups O(1) in the instance size.
 //
-// The serialisation is built from fixed-width fields (doubles as IEEE bit
-// patterns, ints as int64), each section preceded by a one-byte tag that
+// The serialisation is built from the fixed-width little-endian fields of
+// common/bytes.hpp (doubles as IEEE bit patterns, ints as int64, strings
+// with a u64 length prefix), each section preceded by a one-byte tag that
 // keeps the encoding prefix-free: two different instances can never
 // concatenate to the same string. Task names are excluded — no algorithm
 // reads them.

@@ -1,19 +1,19 @@
 #include "serve/protocol.hpp"
 
-#include <cstring>
-
-#include "serve/wire.hpp"
-#include "store/log.hpp"
+#include "common/bytes.hpp"
+#include "common/frame.hpp"
 
 namespace easched::serve {
 namespace {
 
-constexpr std::size_t kHeaderBytes = 1 + 8;  // type + payload length
-constexpr std::size_t kCrcBytes = 4;
+using common::ByteReader;
+using common::ByteWriter;
+/// Width of every string and vector count prefix on the wire (frozen).
+using WireLen = std::uint32_t;
 
-common::Status decode_status(wire::Reader& r) {
-  const std::uint8_t code = r.get_u8();
-  std::string message = r.get_string();
+common::Status decode_status(ByteReader& r) {
+  const std::uint8_t code = r.u8();
+  std::string message = r.str<WireLen>();
   if (code > static_cast<std::uint8_t>(common::StatusCode::kOverloaded)) {
     // The peer sent a code this build does not know; surface the message
     // but never trust the byte as an enum value.
@@ -33,29 +33,29 @@ common::Result<model::SpeedModelKind> decode_speed_kind(std::uint8_t byte) {
   return static_cast<model::SpeedModelKind>(byte);
 }
 
-ProblemSpec decode_problem(wire::Reader& r, bool& kind_ok) {
+ProblemSpec decode_problem(ByteReader& r, bool& kind_ok) {
   ProblemSpec spec;
-  spec.dag_text = r.get_string();
-  spec.processors = static_cast<std::int32_t>(r.get_u32());
-  auto kind = decode_speed_kind(r.get_u8());
+  spec.dag_text = r.str<WireLen>();
+  spec.processors = static_cast<std::int32_t>(r.u32());
+  auto kind = decode_speed_kind(r.u8());
   kind_ok = kind.is_ok();
   if (kind_ok) spec.speed_kind = kind.value();
-  spec.fmin = r.get_double();
-  spec.fmax = r.get_double();
-  spec.delta = r.get_double();
-  spec.levels = r.get_doubles();
-  spec.deadline = r.get_double();
-  spec.tricrit = r.get_u8() != 0;
-  spec.lambda0 = r.get_double();
-  spec.dexp = r.get_double();
-  spec.frel = r.get_double();
+  spec.fmin = r.f64();
+  spec.fmax = r.f64();
+  spec.delta = r.f64();
+  spec.levels = r.doubles<WireLen>();
+  spec.deadline = r.f64();
+  spec.tricrit = r.u8() != 0;
+  spec.lambda0 = r.f64();
+  spec.dexp = r.f64();
+  spec.frel = r.f64();
   return spec;
 }
 
 /// Shared decode epilogue: a payload must parse completely and exactly.
 /// Trailing bytes are as malformed as missing ones — they mean the peer
 /// and this build disagree about the schema.
-common::Status finish(const wire::Reader& r, const char* what) {
+common::Status finish(const ByteReader& r, const char* what) {
   if (!r.ok()) return common::Status::invalid(std::string(what) + ": payload truncated");
   if (!r.at_end()) {
     return common::Status::invalid(std::string(what) + ": trailing bytes in payload");
@@ -68,14 +68,7 @@ common::Status finish(const wire::Reader& r, const char* what) {
 // ---- framing ------------------------------------------------------------
 
 std::string encode_frame(MsgType type, const std::string& payload) {
-  std::string out;
-  out.reserve(kHeaderBytes + payload.size() + kCrcBytes);
-  wire::put_u8(out, static_cast<std::uint8_t>(type));
-  wire::put_u64(out, payload.size());
-  out += payload;
-  const std::uint32_t crc = store::crc32(out.data(), out.size(), 0);
-  wire::put_u32(out, crc);
-  return out;
+  return common::encode_frame(static_cast<std::uint8_t>(type), payload);
 }
 
 void FrameDecoder::feed(const char* data, std::size_t n) {
@@ -89,74 +82,59 @@ void FrameDecoder::feed(const char* data, std::size_t n) {
 }
 
 FrameDecoder::Result FrameDecoder::next(Frame& out) {
-  const std::size_t avail = buf_.size() - pos_;
-  if (avail < kHeaderBytes) return Result::kNeedMore;
-
-  std::uint64_t len = 0;
-  for (int i = 0; i < 8; ++i) {
-    len |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf_[pos_ + 1 + i]))
-           << (8 * i);
+  const common::FrameView frame =
+      common::decode_frame(buf_.data() + pos_, buf_.size() - pos_, kMaxFrameBytes);
+  // A bad-CRC frame is fully delimited too: consuming it costs exactly
+  // this frame, never the stream position.
+  pos_ += frame.size;
+  if (frame.result == Result::kFrame) {
+    out.type = static_cast<MsgType>(frame.type);
+    out.payload.assign(frame.payload);
   }
-  if (len > kMaxFrameBytes) return Result::kOversized;
-
-  const std::size_t total = kHeaderBytes + static_cast<std::size_t>(len) + kCrcBytes;
-  if (avail < total) return Result::kNeedMore;
-
-  const char* frame = buf_.data() + pos_;
-  const std::size_t covered = kHeaderBytes + static_cast<std::size_t>(len);
-  std::uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored |= static_cast<std::uint32_t>(static_cast<unsigned char>(frame[covered + i]))
-              << (8 * i);
-  }
-  // The frame is fully delimited either way — consume it now so a CRC
-  // failure costs exactly this frame, never the stream position.
-  pos_ += total;
-  if (store::crc32(frame, covered, 0) != stored) return Result::kBadCrc;
-
-  out.type = static_cast<MsgType>(static_cast<std::uint8_t>(frame[0]));
-  out.payload.assign(frame + kHeaderBytes, static_cast<std::size_t>(len));
-  return Result::kFrame;
+  return frame.result;
 }
 
 // ---- wire status --------------------------------------------------------
 
 void encode_status(std::string& out, const common::Status& status) {
-  wire::put_u8(out, static_cast<std::uint8_t>(status.code()));
-  wire::put_string(out, status.message());
+  ByteWriter w(out);
+  w.u8(static_cast<std::uint8_t>(status.code()));
+  w.str<WireLen>(status.message());
 }
 
 // ---- handshake ----------------------------------------------------------
 
 std::string Hello::encode() const {
   std::string out;
-  wire::put_u32(out, magic);
-  wire::put_u16(out, version);
-  wire::put_string(out, tenant);
+  ByteWriter w(out);
+  w.u32(magic);
+  w.u16(version);
+  w.str<WireLen>(tenant);
   return out;
 }
 
 common::Result<Hello> Hello::decode(const std::string& payload) {
-  wire::Reader r(payload);
+  ByteReader r(payload);
   Hello msg;
-  msg.magic = r.get_u32();
-  msg.version = r.get_u16();
-  msg.tenant = r.get_string();
+  msg.magic = r.u32();
+  msg.version = r.u16();
+  msg.tenant = r.str<WireLen>();
   if (auto status = finish(r, "Hello"); !status.is_ok()) return status;
   return msg;
 }
 
 std::string HelloAck::encode() const {
   std::string out;
-  wire::put_u16(out, version);
+  ByteWriter w(out);
+  w.u16(version);
   encode_status(out, status);
   return out;
 }
 
 common::Result<HelloAck> HelloAck::decode(const std::string& payload) {
-  wire::Reader r(payload);
+  ByteReader r(payload);
   HelloAck msg;
-  msg.version = r.get_u16();
+  msg.version = r.u16();
   msg.status = decode_status(r);
   if (auto status = finish(r, "HelloAck"); !status.is_ok()) return status;
   return msg;
@@ -165,37 +143,39 @@ common::Result<HelloAck> HelloAck::decode(const std::string& payload) {
 // ---- problems -----------------------------------------------------------
 
 void ProblemSpec::encode(std::string& out) const {
-  wire::put_string(out, dag_text);
-  wire::put_u32(out, static_cast<std::uint32_t>(processors));
-  wire::put_u8(out, static_cast<std::uint8_t>(speed_kind));
-  wire::put_double(out, fmin);
-  wire::put_double(out, fmax);
-  wire::put_double(out, delta);
-  wire::put_doubles(out, levels);
-  wire::put_double(out, deadline);
-  wire::put_u8(out, tricrit ? 1 : 0);
-  wire::put_double(out, lambda0);
-  wire::put_double(out, dexp);
-  wire::put_double(out, frel);
+  ByteWriter w(out);
+  w.str<WireLen>(dag_text);
+  w.u32(static_cast<std::uint32_t>(processors));
+  w.u8(static_cast<std::uint8_t>(speed_kind));
+  w.f64(fmin);
+  w.f64(fmax);
+  w.f64(delta);
+  w.doubles<WireLen>(levels);
+  w.f64(deadline);
+  w.u8(tricrit ? 1 : 0);
+  w.f64(lambda0);
+  w.f64(dexp);
+  w.f64(frel);
 }
 
 std::string SolveRequest::encode() const {
   std::string out;
-  wire::put_u64(out, request_id);
+  ByteWriter w(out);
+  w.u64(request_id);
   problem.encode(out);
-  wire::put_string(out, solver);
-  wire::put_double(out, job_deadline_ms);
+  w.str<WireLen>(solver);
+  w.f64(job_deadline_ms);
   return out;
 }
 
 common::Result<SolveRequest> SolveRequest::decode(const std::string& payload) {
-  wire::Reader r(payload);
+  ByteReader r(payload);
   SolveRequest msg;
-  msg.request_id = r.get_u64();
+  msg.request_id = r.u64();
   bool kind_ok = true;
   msg.problem = decode_problem(r, kind_ok);
-  msg.solver = r.get_string();
-  msg.job_deadline_ms = r.get_double();
+  msg.solver = r.str<WireLen>();
+  msg.job_deadline_ms = r.f64();
   if (auto status = finish(r, "SolveRequest"); !status.is_ok()) return status;
   if (!kind_ok) return common::Status::invalid("SolveRequest: bad speed-model kind");
   return msg;
@@ -203,33 +183,34 @@ common::Result<SolveRequest> SolveRequest::decode(const std::string& payload) {
 
 std::string SweepRequest::encode() const {
   std::string out;
-  wire::put_u64(out, request_id);
+  ByteWriter w(out);
+  w.u64(request_id);
   problem.encode(out);
-  wire::put_u8(out, static_cast<std::uint8_t>(axis));
-  wire::put_double(out, lo);
-  wire::put_double(out, hi);
-  wire::put_u32(out, static_cast<std::uint32_t>(initial_points));
-  wire::put_u32(out, static_cast<std::uint32_t>(max_points));
-  wire::put_string(out, solver);
-  wire::put_double(out, job_deadline_ms);
-  wire::put_doubles(out, prev_probes);
+  w.u8(static_cast<std::uint8_t>(axis));
+  w.f64(lo);
+  w.f64(hi);
+  w.u32(static_cast<std::uint32_t>(initial_points));
+  w.u32(static_cast<std::uint32_t>(max_points));
+  w.str<WireLen>(solver);
+  w.f64(job_deadline_ms);
+  w.doubles<WireLen>(prev_probes);
   return out;
 }
 
 common::Result<SweepRequest> SweepRequest::decode(const std::string& payload) {
-  wire::Reader r(payload);
+  ByteReader r(payload);
   SweepRequest msg;
-  msg.request_id = r.get_u64();
+  msg.request_id = r.u64();
   bool kind_ok = true;
   msg.problem = decode_problem(r, kind_ok);
-  const std::uint8_t axis_byte = r.get_u8();
-  msg.lo = r.get_double();
-  msg.hi = r.get_double();
-  msg.initial_points = static_cast<std::int32_t>(r.get_u32());
-  msg.max_points = static_cast<std::int32_t>(r.get_u32());
-  msg.solver = r.get_string();
-  msg.job_deadline_ms = r.get_double();
-  msg.prev_probes = r.get_doubles();
+  const std::uint8_t axis_byte = r.u8();
+  msg.lo = r.f64();
+  msg.hi = r.f64();
+  msg.initial_points = static_cast<std::int32_t>(r.u32());
+  msg.max_points = static_cast<std::int32_t>(r.u32());
+  msg.solver = r.str<WireLen>();
+  msg.job_deadline_ms = r.f64();
+  msg.prev_probes = r.doubles<WireLen>();
   if (auto status = finish(r, "SweepRequest"); !status.is_ok()) return status;
   if (!kind_ok) return common::Status::invalid("SweepRequest: bad speed-model kind");
   if (axis_byte > static_cast<std::uint8_t>(WireAxis::kReliability)) {
@@ -242,30 +223,32 @@ common::Result<SweepRequest> SweepRequest::decode(const std::string& payload) {
 
 std::string StatRequest::encode() const {
   std::string out;
-  wire::put_u64(out, request_id);
+  ByteWriter w(out);
+  w.u64(request_id);
   return out;
 }
 
 common::Result<StatRequest> StatRequest::decode(const std::string& payload) {
-  wire::Reader r(payload);
+  ByteReader r(payload);
   StatRequest msg;
-  msg.request_id = r.get_u64();
+  msg.request_id = r.u64();
   if (auto status = finish(r, "StatRequest"); !status.is_ok()) return status;
   return msg;
 }
 
 std::string MetricsRequest::encode() const {
   std::string out;
-  wire::put_u64(out, request_id);
-  wire::put_u8(out, static_cast<std::uint8_t>(format));
+  ByteWriter w(out);
+  w.u64(request_id);
+  w.u8(static_cast<std::uint8_t>(format));
   return out;
 }
 
 common::Result<MetricsRequest> MetricsRequest::decode(const std::string& payload) {
-  wire::Reader r(payload);
+  ByteReader r(payload);
   MetricsRequest msg;
-  msg.request_id = r.get_u64();
-  const std::uint8_t format_byte = r.get_u8();
+  msg.request_id = r.u64();
+  const std::uint8_t format_byte = r.u8();
   if (auto status = finish(r, "MetricsRequest"); !status.is_ok()) return status;
   if (format_byte > static_cast<std::uint8_t>(MetricsFormat::kJson)) {
     return common::Status::invalid("MetricsRequest: unknown format " +
@@ -279,78 +262,80 @@ common::Result<MetricsRequest> MetricsRequest::decode(const std::string& payload
 
 std::string SolveResponse::encode() const {
   std::string out;
-  wire::put_u64(out, request_id);
+  ByteWriter w(out);
+  w.u64(request_id);
   encode_status(out, status);
-  wire::put_double(out, energy);
-  wire::put_double(out, makespan);
-  wire::put_double(out, wall_ms);
-  wire::put_string(out, solver);
-  wire::put_u8(out, exact ? 1 : 0);
-  wire::put_i64(out, iterations);
-  wire::put_u32(out, static_cast<std::uint32_t>(re_executed));
+  w.f64(energy);
+  w.f64(makespan);
+  w.f64(wall_ms);
+  w.str<WireLen>(solver);
+  w.u8(exact ? 1 : 0);
+  w.i64(iterations);
+  w.u32(static_cast<std::uint32_t>(re_executed));
   return out;
 }
 
 common::Result<SolveResponse> SolveResponse::decode(const std::string& payload) {
-  wire::Reader r(payload);
+  ByteReader r(payload);
   SolveResponse msg;
-  msg.request_id = r.get_u64();
+  msg.request_id = r.u64();
   msg.status = decode_status(r);
-  msg.energy = r.get_double();
-  msg.makespan = r.get_double();
-  msg.wall_ms = r.get_double();
-  msg.solver = r.get_string();
-  msg.exact = r.get_u8() != 0;
-  msg.iterations = r.get_i64();
-  msg.re_executed = static_cast<std::int32_t>(r.get_u32());
+  msg.energy = r.f64();
+  msg.makespan = r.f64();
+  msg.wall_ms = r.f64();
+  msg.solver = r.str<WireLen>();
+  msg.exact = r.u8() != 0;
+  msg.iterations = r.i64();
+  msg.re_executed = static_cast<std::int32_t>(r.u32());
   if (auto status = finish(r, "SolveResponse"); !status.is_ok()) return status;
   return msg;
 }
 
 std::string SweepResponse::encode() const {
   std::string out;
-  wire::put_u64(out, request_id);
+  ByteWriter w(out);
+  w.u64(request_id);
   encode_status(out, status);
-  wire::put_u8(out, static_cast<std::uint8_t>(axis));
-  wire::put_u32(out, static_cast<std::uint32_t>(points.size()));
+  w.u8(static_cast<std::uint8_t>(axis));
+  w.u32(static_cast<std::uint32_t>(points.size()));
   for (const auto& p : points) {
-    wire::put_double(out, p.constraint);
-    wire::put_double(out, p.energy);
-    wire::put_double(out, p.makespan);
-    wire::put_string(out, p.solver);
-    wire::put_u8(out, p.exact ? 1 : 0);
+    w.f64(p.constraint);
+    w.f64(p.energy);
+    w.f64(p.makespan);
+    w.str<WireLen>(p.solver);
+    w.u8(p.exact ? 1 : 0);
   }
-  wire::put_doubles(out, probes);
-  wire::put_u64(out, evaluated);
-  wire::put_u64(out, infeasible);
-  wire::put_u64(out, cache_hits);
-  wire::put_u64(out, prefetched);
-  wire::put_double(out, wall_ms);
+  w.doubles<WireLen>(probes);
+  w.u64(evaluated);
+  w.u64(infeasible);
+  w.u64(cache_hits);
+  w.u64(prefetched);
+  w.f64(wall_ms);
   return out;
 }
 
 common::Result<SweepResponse> SweepResponse::decode(const std::string& payload) {
-  wire::Reader r(payload);
+  ByteReader r(payload);
   SweepResponse msg;
-  msg.request_id = r.get_u64();
+  msg.request_id = r.u64();
   msg.status = decode_status(r);
-  const std::uint8_t axis_byte = r.get_u8();
-  const std::uint32_t num_points = r.get_u32();
+  const std::uint8_t axis_byte = r.u8();
+  const std::uint32_t num_points = r.u32();
   for (std::uint32_t i = 0; i < num_points && r.ok(); ++i) {
     WirePoint p;
-    p.constraint = r.get_double();
-    p.energy = r.get_double();
-    p.makespan = r.get_double();
-    p.solver = r.get_string();
-    p.exact = r.get_u8() != 0;
+    p.constraint = r.f64();
+    p.energy = r.f64();
+    p.makespan = r.f64();
+    p.solver = r.str<WireLen>();
+    p.exact = r.u8() != 0;
     msg.points.push_back(std::move(p));
   }
-  msg.probes = r.get_doubles();
-  msg.evaluated = r.get_u64();
-  msg.infeasible = r.get_u64();
-  msg.cache_hits = r.get_u64();
-  msg.prefetched = r.get_u64();
-  msg.wall_ms = r.get_double();
+  msg.probes = r.doubles<WireLen>();
+  msg.evaluated = r.u64();
+  msg.infeasible = r.u64();
+  msg.cache_hits = r.u64();
+  msg.prefetched = r.u64();
+  msg.wall_ms = r.f64();
   if (auto status = finish(r, "SweepResponse"); !status.is_ok()) return status;
   if (axis_byte > static_cast<std::uint8_t>(WireAxis::kReliability)) {
     return common::Status::invalid("SweepResponse: unknown sweep axis " +
@@ -362,64 +347,66 @@ common::Result<SweepResponse> SweepResponse::decode(const std::string& payload) 
 
 std::string StatResponse::encode() const {
   std::string out;
-  wire::put_u64(out, request_id);
-  wire::put_u64(out, threads);
-  wire::put_u64(out, queued_jobs);
-  wire::put_u64(out, cache_entries);
-  wire::put_u64(out, cache_hits);
-  wire::put_u64(out, cache_misses);
-  wire::put_u64(out, store_hits);
-  wire::put_u8(out, has_store ? 1 : 0);
-  wire::put_u64(out, store_entries);
-  wire::put_u64(out, store_blobs);
-  wire::put_u64(out, store_bytes);
-  wire::put_u64(out, tenant_accepted);
-  wire::put_u64(out, tenant_shed);
-  wire::put_u64(out, tenant_completed);
-  wire::put_u64(out, tenant_in_flight);
-  wire::put_u64(out, tenant_deadline_exceeded);
+  ByteWriter w(out);
+  w.u64(request_id);
+  w.u64(threads);
+  w.u64(queued_jobs);
+  w.u64(cache_entries);
+  w.u64(cache_hits);
+  w.u64(cache_misses);
+  w.u64(store_hits);
+  w.u8(has_store ? 1 : 0);
+  w.u64(store_entries);
+  w.u64(store_blobs);
+  w.u64(store_bytes);
+  w.u64(tenant_accepted);
+  w.u64(tenant_shed);
+  w.u64(tenant_completed);
+  w.u64(tenant_in_flight);
+  w.u64(tenant_deadline_exceeded);
   return out;
 }
 
 common::Result<StatResponse> StatResponse::decode(const std::string& payload) {
-  wire::Reader r(payload);
+  ByteReader r(payload);
   StatResponse msg;
-  msg.request_id = r.get_u64();
-  msg.threads = r.get_u64();
-  msg.queued_jobs = r.get_u64();
-  msg.cache_entries = r.get_u64();
-  msg.cache_hits = r.get_u64();
-  msg.cache_misses = r.get_u64();
-  msg.store_hits = r.get_u64();
-  msg.has_store = r.get_u8() != 0;
-  msg.store_entries = r.get_u64();
-  msg.store_blobs = r.get_u64();
-  msg.store_bytes = r.get_u64();
-  msg.tenant_accepted = r.get_u64();
-  msg.tenant_shed = r.get_u64();
-  msg.tenant_completed = r.get_u64();
-  msg.tenant_in_flight = r.get_u64();
-  msg.tenant_deadline_exceeded = r.get_u64();
+  msg.request_id = r.u64();
+  msg.threads = r.u64();
+  msg.queued_jobs = r.u64();
+  msg.cache_entries = r.u64();
+  msg.cache_hits = r.u64();
+  msg.cache_misses = r.u64();
+  msg.store_hits = r.u64();
+  msg.has_store = r.u8() != 0;
+  msg.store_entries = r.u64();
+  msg.store_blobs = r.u64();
+  msg.store_bytes = r.u64();
+  msg.tenant_accepted = r.u64();
+  msg.tenant_shed = r.u64();
+  msg.tenant_completed = r.u64();
+  msg.tenant_in_flight = r.u64();
+  msg.tenant_deadline_exceeded = r.u64();
   if (auto status = finish(r, "StatResponse"); !status.is_ok()) return status;
   return msg;
 }
 
 std::string MetricsResponse::encode() const {
   std::string out;
-  wire::put_u64(out, request_id);
+  ByteWriter w(out);
+  w.u64(request_id);
   encode_status(out, status);
-  wire::put_u8(out, static_cast<std::uint8_t>(format));
-  wire::put_string(out, body);
+  w.u8(static_cast<std::uint8_t>(format));
+  w.str<WireLen>(body);
   return out;
 }
 
 common::Result<MetricsResponse> MetricsResponse::decode(const std::string& payload) {
-  wire::Reader r(payload);
+  ByteReader r(payload);
   MetricsResponse msg;
-  msg.request_id = r.get_u64();
+  msg.request_id = r.u64();
   msg.status = decode_status(r);
-  const std::uint8_t format_byte = r.get_u8();
-  msg.body = r.get_string();
+  const std::uint8_t format_byte = r.u8();
+  msg.body = r.str<WireLen>();
   if (auto status = finish(r, "MetricsResponse"); !status.is_ok()) return status;
   if (format_byte > static_cast<std::uint8_t>(MetricsFormat::kJson)) {
     return common::Status::invalid("MetricsResponse: unknown format " +
@@ -431,15 +418,16 @@ common::Result<MetricsResponse> MetricsResponse::decode(const std::string& paylo
 
 std::string ErrorResponse::encode() const {
   std::string out;
-  wire::put_u64(out, request_id);
+  ByteWriter w(out);
+  w.u64(request_id);
   encode_status(out, status);
   return out;
 }
 
 common::Result<ErrorResponse> ErrorResponse::decode(const std::string& payload) {
-  wire::Reader r(payload);
+  ByteReader r(payload);
   ErrorResponse msg;
-  msg.request_id = r.get_u64();
+  msg.request_id = r.u64();
   msg.status = decode_status(r);
   if (auto status = finish(r, "ErrorResponse"); !status.is_ok()) return status;
   return msg;

@@ -2,17 +2,17 @@
 // serve::Protocol — the length-prefixed binary protocol of the easched
 // scheduling daemon.
 //
-// Framing reuses the store log's discipline (store/log.hpp): every frame
-// is self-delimiting and self-checking,
+// Every message travels in the CRC frame defined once in common/frame.hpp
+// (shared with the store log),
 //
 //   [type u8][payload_len u64 LE][payload bytes][crc32 u32 LE]
 //
-// with the CRC (store::crc32, IEEE 802.3) covering type + length +
-// payload. The consequences mirror the log's: a frame whose CRC fails is
-// rejected *without* losing the stream position (the length already
-// delimited it), so one corrupt frame costs one error response, not the
-// connection; only a length that exceeds kMaxFrameBytes is unrecoverable
-// — the decoder cannot trust the boundary — and closes the connection.
+// with the CRC (IEEE 802.3) covering type + length + payload. A frame
+// whose CRC fails is rejected *without* losing the stream position (the
+// length already delimited it), so one corrupt frame costs one error
+// response, not the connection; only a length that exceeds kMaxFrameBytes
+// is unrecoverable — the decoder cannot trust the boundary — and closes
+// the connection.
 //
 // A connection opens with a version handshake: the client sends kHello
 // (magic + protocol version + tenant id), the server answers kHelloAck
@@ -28,12 +28,14 @@
 //
 // Every message struct encodes to a payload string and decodes behind a
 // Result — a malformed payload is an expected failure (kInvalidArgument),
-// never UB or an exception (wire.hpp's Reader bounds-checks every read).
+// never UB or an exception (common/bytes.hpp's ByteReader bounds-checks
+// every read).
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/frame.hpp"
 #include "common/status.hpp"
 #include "model/speed_model.hpp"
 
@@ -79,12 +81,10 @@ std::string encode_frame(MsgType type, const std::string& payload);
 /// is terminal for the stream.
 class FrameDecoder {
  public:
-  enum class Result {
-    kNeedMore,   ///< no complete frame buffered yet
-    kFrame,      ///< `out` holds the next frame
-    kBadCrc,     ///< a delimited frame failed its checksum (recoverable)
-    kOversized,  ///< declared payload exceeds kMaxFrameBytes (fatal)
-  };
+  /// kFrame: `out` holds the next frame; kBadCrc: a delimited frame
+  /// failed its checksum (recoverable); kOversized: the declared payload
+  /// exceeds kMaxFrameBytes (fatal); kNeedMore: no complete frame yet.
+  using Result = common::FrameResult;
 
   void feed(const char* data, std::size_t n);
   Result next(Frame& out);

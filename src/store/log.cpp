@@ -5,10 +5,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstring>
 #include <utility>
+
+#include "common/bytes.hpp"
+#include "common/frame.hpp"
 
 namespace easched::store {
 namespace {
@@ -17,42 +19,16 @@ namespace {
 constexpr char kMagic[8] = {'E', 'A', 'S', 'S', 'T', 'O', 'R', 'E'};
 constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::uint64_t kHeaderBytes = 16;
-// type(1) + payload_len(8) before the payload, crc(4) after it.
-constexpr std::uint64_t kFramePrefix = 9;
-constexpr std::uint64_t kFrameSuffix = 4;
 // Payloads beyond this are treated as corruption, not data: the largest
 // legitimate record (an interned instance blob) is linear in the task
 // count, nowhere near 1 GiB.
 constexpr std::uint64_t kMaxPayload = 1ull << 30;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t load_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t load_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
 std::string header_bytes() {
   std::string out(kMagic, sizeof(kMagic));
-  put_u32(out, kFormatVersion);
-  put_u32(out, 0);  // flags, reserved
+  common::ByteWriter w(out);
+  w.u32(kFormatVersion);
+  w.u32(0);  // flags, reserved
   return out;
 }
 
@@ -95,52 +71,33 @@ common::Status write_all(int fd, std::uint64_t offset, const std::string& bytes,
   return common::Status::ok();
 }
 
-/// Scans the frames inside `buf` (which starts at file offset `base`),
-/// invoking `fn` per intact record; returns the buffer offset of the first
-/// byte that is not part of an intact record (== buf.size() when clean).
+/// Scans the frames inside `buf`, invoking `fn` per intact record;
+/// returns the offset of the first byte that is not part of an intact
+/// record (== buf.size() when clean).
 std::size_t scan_frames(const std::string& buf,
                         const std::function<void(RecordType, const std::string&)>* fn) {
   std::size_t at = 0;
   std::string payload;
-  while (buf.size() - at >= kFramePrefix + kFrameSuffix) {
-    const std::uint8_t type = static_cast<std::uint8_t>(buf[at]);
-    const std::uint64_t len = load_u64(buf.data() + at + 1);
-    if (len > kMaxPayload) break;  // insane length: treat as corruption
-    const std::uint64_t frame = kFramePrefix + len + kFrameSuffix;
-    if (buf.size() - at < frame) break;  // torn tail: record not fully on disk
-    const std::uint32_t want = load_u32(buf.data() + at + kFramePrefix + len);
-    const std::uint32_t got = crc32(buf.data() + at, kFramePrefix + len);
-    if (want != got) break;  // corrupt record: stop at the last intact one
-    if (type != static_cast<std::uint8_t>(RecordType::kBlob) &&
-        type != static_cast<std::uint8_t>(RecordType::kEntry)) {
-      break;  // unknown type in a v1 log: written by nothing we know
+  while (true) {
+    const common::FrameView frame =
+        common::decode_frame(buf.data() + at, buf.size() - at, kMaxPayload);
+    // Stop at the first record that is torn (not fully on disk), corrupt,
+    // of insane length or of a type no v1 writer emits.
+    if (frame.result != common::FrameResult::kFrame ||
+        (frame.type != static_cast<std::uint8_t>(RecordType::kBlob) &&
+         frame.type != static_cast<std::uint8_t>(RecordType::kEntry))) {
+      break;
     }
     if (fn != nullptr) {
-      payload.assign(buf, at + kFramePrefix, static_cast<std::size_t>(len));
-      (*fn)(static_cast<RecordType>(type), payload);
+      payload.assign(frame.payload);
+      (*fn)(static_cast<RecordType>(frame.type), payload);
     }
-    at += static_cast<std::size_t>(frame);
+    at += frame.size;
   }
   return at;
 }
 
 }  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = ~seed;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
-  return ~crc;
-}
 
 common::Result<RecordLog> RecordLog::open(const std::string& path, bool read_only) {
   RecordLog log;
@@ -206,7 +163,8 @@ common::Status RecordLog::validate_or_write_header() {
   if (have.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
     return common::Status::invalid("'" + path_ + "' is not a solve-store log");
   }
-  const std::uint32_t version = load_u32(have.data() + sizeof(kMagic));
+  const auto version =
+      static_cast<std::uint32_t>(common::load_le(have.data() + sizeof(kMagic), 4));
   if (version != kFormatVersion) {
     return common::Status::unsupported("store log '" + path_ + "' has format version " +
                                        std::to_string(version) + ", expected " +
@@ -239,12 +197,7 @@ common::Status RecordLog::append(RecordType type, const std::string& payload) {
   if (read_only_) {
     return common::Status::unsupported("store log '" + path_ + "' is open read-only");
   }
-  std::string frame;
-  frame.reserve(kFramePrefix + payload.size() + kFrameSuffix);
-  frame.push_back(static_cast<char>(type));
-  put_u64(frame, payload.size());
-  frame += payload;
-  put_u32(frame, crc32(frame.data(), frame.size()));
+  const std::string frame = common::encode_frame(static_cast<std::uint8_t>(type), payload);
   common::Status written = write_all(fd_, end_offset_, frame, path_);
   if (!written.is_ok()) return written;
   end_offset_ += frame.size();

@@ -2,7 +2,8 @@
 // RecordLog — the append-only binary file under the persistent solve-store.
 //
 // Layout: a 16-byte versioned header (magic, format version, flags)
-// followed by self-delimiting records
+// followed by self-delimiting records in the CRC frame defined once in
+// common/frame.hpp (shared with the serve wire protocol),
 //
 //   [type u8][payload_len u64 LE][payload bytes][crc32 u32 LE]
 //
@@ -35,10 +36,6 @@
 #include "common/status.hpp"
 
 namespace easched::store {
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of `n` bytes, chainable via
-/// `seed` (pass a previous return value to continue a running checksum).
-std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
 
 /// Record kinds of the solve-store log (serialize.hpp defines payloads).
 enum class RecordType : std::uint8_t {

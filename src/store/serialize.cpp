@@ -1,163 +1,105 @@
 #include "store/serialize.hpp"
 
-#include <cstring>
-
+#include "common/bytes.hpp"
 #include "core/problem.hpp"
 #include "sched/schedule.hpp"
 
 namespace easched::store {
 namespace {
 
-void put_u8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
+using common::ByteReader;
+using common::ByteWriter;
+/// Width of every string count prefix in a record payload (frozen).
+using StoreLen = std::uint64_t;
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_double(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  out += s;
-}
-
-/// Bounds-checked sequential decoder: any overrun flips `ok` and every
-/// later read returns zero values, so decoders check once at the end.
-struct Cursor {
-  const std::string& buf;
-  std::size_t at = 0;
-  bool ok = true;
-
-  bool has(std::size_t n) {
-    if (!ok || buf.size() - at < n) ok = false;
-    return ok;
-  }
-  std::uint8_t get_u8() {
-    if (!has(1)) return 0;
-    return static_cast<std::uint8_t>(buf[at++]);
-  }
-  std::uint64_t get_u64() {
-    if (!has(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[at + i])) << (8 * i);
-    }
-    at += 8;
-    return v;
-  }
-  std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
-  double get_double() {
-    const std::uint64_t bits = get_u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::string get_string() {
-    const std::uint64_t n = get_u64();
-    if (!has(static_cast<std::size_t>(n))) return {};
-    std::string s(buf, at, static_cast<std::size_t>(n));
-    at += static_cast<std::size_t>(n);
-    return s;
-  }
-  bool done() const { return ok && at == buf.size(); }
-};
-
-// Counts kept sane even on corrupt input: a flipped length field must not
-// turn into a multi-gigabyte allocation before the bounds check trips.
-constexpr std::int64_t kMaxTasks = 1 << 24;
+// At most a primary execution and one re-execution per task. Task and
+// interval counts are bounded by the bytes left (ByteReader::fits).
 constexpr std::int64_t kMaxExecutions = 2;
-constexpr std::int64_t kMaxProfile = 1 << 20;
 
-void put_schedule(std::string& out, const sched::Schedule& schedule) {
-  put_i64(out, schedule.num_tasks());
+void put_schedule(ByteWriter& w, const sched::Schedule& schedule) {
+  w.i64(schedule.num_tasks());
   for (int t = 0; t < schedule.num_tasks(); ++t) {
     const auto& decision = schedule.at(t);
-    put_i64(out, static_cast<std::int64_t>(decision.executions.size()));
+    w.i64(static_cast<std::int64_t>(decision.executions.size()));
     for (const auto& exec : decision.executions) {
-      put_double(out, exec.speed);
-      put_i64(out, static_cast<std::int64_t>(exec.profile.size()));
+      w.f64(exec.speed);
+      w.i64(static_cast<std::int64_t>(exec.profile.size()));
       for (const auto& interval : exec.profile) {
-        put_double(out, interval.speed);
-        put_double(out, interval.time);
+        w.f64(interval.speed);
+        w.f64(interval.time);
       }
     }
   }
 }
 
-bool get_schedule(Cursor& c, sched::Schedule& out) {
-  const std::int64_t tasks = c.get_i64();
-  if (!c.ok || tasks < 0 || tasks > kMaxTasks) return false;
+bool get_schedule(ByteReader& r, sched::Schedule& out) {
+  // Every task holds at least its 8-byte execution count.
+  const std::int64_t tasks = r.i64();
+  if (tasks < 0 || !r.fits(static_cast<std::uint64_t>(tasks), 8)) return false;
   out = sched::Schedule(static_cast<int>(tasks));
   for (std::int64_t t = 0; t < tasks; ++t) {
-    const std::int64_t execs = c.get_i64();
-    if (!c.ok || execs < 0 || execs > kMaxExecutions) return false;
+    const std::int64_t execs = r.i64();
+    if (!r.ok() || execs < 0 || execs > kMaxExecutions) return false;
     auto& decision = out.at(static_cast<int>(t));
     decision.executions.resize(static_cast<std::size_t>(execs));
     for (auto& exec : decision.executions) {
-      exec.speed = c.get_double();
-      const std::int64_t profile = c.get_i64();
-      if (!c.ok || profile < 0 || profile > kMaxProfile) return false;
+      exec.speed = r.f64();
+      // Every interval is two doubles.
+      const std::int64_t profile = r.i64();
+      if (profile < 0 || !r.fits(static_cast<std::uint64_t>(profile), 16)) return false;
       exec.profile.resize(static_cast<std::size_t>(profile));
       for (auto& interval : exec.profile) {
-        interval.speed = c.get_double();
-        interval.time = c.get_double();
+        interval.speed = r.f64();
+        interval.time = r.f64();
       }
     }
   }
-  return c.ok;
+  return r.ok();
 }
 
-void put_result(std::string& out, const common::Result<api::SolveReport>& result) {
-  put_u8(out, result.is_ok() ? 1 : 0);
+void put_result(ByteWriter& w, const common::Result<api::SolveReport>& result) {
+  w.u8(result.is_ok() ? 1 : 0);
   if (!result.is_ok()) {
-    put_u8(out, static_cast<std::uint8_t>(result.status().code()));
-    put_string(out, result.status().message());
+    w.u8(static_cast<std::uint8_t>(result.status().code()));
+    w.str<StoreLen>(result.status().message());
     return;
   }
   const api::SolveReport& report = result.value();
-  put_double(out, report.energy);
-  put_double(out, report.makespan);
-  put_string(out, report.solver);
-  put_u8(out, static_cast<std::uint8_t>(report.problem));
-  put_double(out, report.wall_ms);
-  put_i64(out, report.iterations);
-  put_i64(out, report.re_executed);
-  put_u8(out, report.exact ? 1 : 0);
-  put_double(out, report.gap_bound);
-  put_schedule(out, report.schedule);
+  w.f64(report.energy);
+  w.f64(report.makespan);
+  w.str<StoreLen>(report.solver);
+  w.u8(static_cast<std::uint8_t>(report.problem));
+  w.f64(report.wall_ms);
+  w.i64(report.iterations);
+  w.i64(report.re_executed);
+  w.u8(report.exact ? 1 : 0);
+  w.f64(report.gap_bound);
+  put_schedule(w, report.schedule);
 }
 
-common::Result<common::Result<api::SolveReport>> get_result(Cursor& c) {
+common::Result<common::Result<api::SolveReport>> get_result(ByteReader& r) {
   const auto bad = [] {
     return common::Status::invalid("corrupt entry record payload");
   };
-  const std::uint8_t is_ok = c.get_u8();
-  if (!c.ok) return bad();
+  const std::uint8_t is_ok = r.u8();
+  if (!r.ok()) return bad();
   if (is_ok == 0) {
-    const auto code = static_cast<common::StatusCode>(c.get_u8());
-    std::string message = c.get_string();
-    if (!c.ok || code == common::StatusCode::kOk) return bad();
+    const auto code = static_cast<common::StatusCode>(r.u8());
+    std::string message = r.str<StoreLen>();
+    if (!r.ok() || code == common::StatusCode::kOk) return bad();
     return common::Result<api::SolveReport>(common::Status(code, std::move(message)));
   }
   api::SolveReport report;
-  report.energy = c.get_double();
-  report.makespan = c.get_double();
-  report.solver = c.get_string();
-  report.problem = c.get_u8() == 0 ? api::ProblemKind::kBiCrit : api::ProblemKind::kTriCrit;
-  report.wall_ms = c.get_double();
-  report.iterations = c.get_i64();
-  report.re_executed = static_cast<int>(c.get_i64());
-  report.exact = c.get_u8() != 0;
-  report.gap_bound = c.get_double();
-  if (!get_schedule(c, report.schedule)) return bad();
+  report.energy = r.f64();
+  report.makespan = r.f64();
+  report.solver = r.str<StoreLen>();
+  report.problem = r.u8() == 0 ? api::ProblemKind::kBiCrit : api::ProblemKind::kTriCrit;
+  report.wall_ms = r.f64();
+  report.iterations = r.i64();
+  report.re_executed = static_cast<int>(r.i64());
+  report.exact = r.u8() != 0;
+  report.gap_bound = r.f64();
+  if (!get_schedule(r, report.schedule)) return bad();
   return common::Result<api::SolveReport>(std::move(report));
 }
 
@@ -166,21 +108,22 @@ common::Result<common::Result<api::SolveReport>> get_result(Cursor& c) {
 std::string encode_blob(const BlobRecord& blob) {
   std::string out;
   out.reserve(32 + blob.bytes.size());
-  put_u64(out, blob.id);
-  put_u64(out, blob.digest.hi);
-  put_u64(out, blob.digest.lo);
-  put_string(out, blob.bytes);
+  ByteWriter w(out);
+  w.u64(blob.id);
+  w.u64(blob.digest.hi);
+  w.u64(blob.digest.lo);
+  w.str<StoreLen>(blob.bytes);
   return out;
 }
 
 common::Result<BlobRecord> decode_blob(const std::string& payload) {
-  Cursor c{payload};
+  ByteReader r(payload);
   BlobRecord blob;
-  blob.id = c.get_u64();
-  blob.digest.hi = c.get_u64();
-  blob.digest.lo = c.get_u64();
-  blob.bytes = c.get_string();
-  if (!c.done() || blob.id == 0) {
+  blob.id = r.u64();
+  blob.digest.hi = r.u64();
+  blob.digest.lo = r.u64();
+  blob.bytes = r.str<StoreLen>();
+  if (!r.ok() || !r.at_end() || blob.id == 0) {
     return common::Status::invalid("corrupt blob record payload");
   }
   return blob;
@@ -189,38 +132,39 @@ common::Result<BlobRecord> decode_blob(const std::string& payload) {
 std::string encode_entry(const EntryRecord& entry) {
   std::string out;
   out.reserve(128);
-  put_u64(out, entry.blob_id);
-  put_string(out, entry.solver);
-  put_u8(out, entry.point.kind);
-  put_u64(out, entry.point.deadline_bits);
-  put_u64(out, entry.point.frel_bits);
-  put_i64(out, entry.point.approx_K);
-  put_u64(out, entry.point.gap_tolerance_bits);
-  put_i64(out, entry.point.max_nodes);
-  put_i64(out, entry.point.dp_buckets);
-  put_i64(out, entry.point.fork_grid);
-  put_i64(out, entry.point.polish);
-  put_result(out, *entry.result);
+  ByteWriter w(out);
+  w.u64(entry.blob_id);
+  w.str<StoreLen>(entry.solver);
+  w.u8(entry.point.kind);
+  w.u64(entry.point.deadline_bits);
+  w.u64(entry.point.frel_bits);
+  w.i64(entry.point.approx_K);
+  w.u64(entry.point.gap_tolerance_bits);
+  w.i64(entry.point.max_nodes);
+  w.i64(entry.point.dp_buckets);
+  w.i64(entry.point.fork_grid);
+  w.i64(entry.point.polish);
+  put_result(w, *entry.result);
   return out;
 }
 
 common::Result<EntryRecord> decode_entry(const std::string& payload) {
-  Cursor c{payload};
+  ByteReader r(payload);
   EntryRecord entry;
-  entry.blob_id = c.get_u64();
-  entry.solver = c.get_string();
-  entry.point.kind = c.get_u8();
-  entry.point.deadline_bits = c.get_u64();
-  entry.point.frel_bits = c.get_u64();
-  entry.point.approx_K = c.get_i64();
-  entry.point.gap_tolerance_bits = c.get_u64();
-  entry.point.max_nodes = c.get_i64();
-  entry.point.dp_buckets = c.get_i64();
-  entry.point.fork_grid = c.get_i64();
-  entry.point.polish = c.get_i64();
-  auto result = get_result(c);
+  entry.blob_id = r.u64();
+  entry.solver = r.str<StoreLen>();
+  entry.point.kind = r.u8();
+  entry.point.deadline_bits = r.u64();
+  entry.point.frel_bits = r.u64();
+  entry.point.approx_K = r.i64();
+  entry.point.gap_tolerance_bits = r.u64();
+  entry.point.max_nodes = r.i64();
+  entry.point.dp_buckets = r.i64();
+  entry.point.fork_grid = r.i64();
+  entry.point.polish = r.i64();
+  auto result = get_result(r);
   if (!result.is_ok()) return result.status();
-  if (!c.done() || entry.blob_id == 0) {
+  if (!r.ok() || !r.at_end() || entry.blob_id == 0) {
     return common::Status::invalid("corrupt entry record payload");
   }
   entry.result = std::make_shared<const common::Result<api::SolveReport>>(

@@ -12,9 +12,9 @@
 // failed solve memoized. Doubles are stored as IEEE-754 bit patterns, so a
 // reloaded schedule is bit-identical to the one that was solved.
 //
-// Encoding discipline matches api/digest.cpp: little-endian fixed-width
-// fields, length-prefixed strings, no padding — the payload of a given
-// record is byte-stable across processes and platforms.
+// Encoding is common/bytes.hpp, as for api/digest.cpp: little-endian
+// fixed-width fields, u64-length-prefixed strings, no padding — the
+// payload of a given record is byte-stable across processes and platforms.
 
 #include <cstdint>
 #include <memory>
