@@ -97,14 +97,6 @@ class ByteReader {
     return v;
   }
 
-  /// The next `n` bytes as a view into the input (empty once short).
-  std::string_view raw(std::uint64_t n) {
-    if (!fits(n, 1)) return {};
-    const std::string_view v = data_.substr(pos_, static_cast<std::size_t>(n));
-    pos_ += static_cast<std::size_t>(n);
-    return v;
-  }
-
   template <typename Len>
   std::string str() {
     const std::uint64_t n = get_le(sizeof(Len));
@@ -131,6 +123,14 @@ class ByteReader {
   }
 
  private:
+  /// The next `n` bytes as a view into the input (empty once short).
+  std::string_view raw(std::uint64_t n) {
+    if (!fits(n, 1)) return {};
+    const std::string_view v = data_.substr(pos_, static_cast<std::size_t>(n));
+    pos_ += static_cast<std::size_t>(n);
+    return v;
+  }
+
   std::uint64_t get_le(std::size_t n) {
     if (!fits(n, 1)) return 0;
     const std::uint64_t v = load_le(data_.data() + pos_, n);
