@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -682,6 +683,11 @@ struct Server::Impl {
         ::close(fd);
         continue;
       }
+      // Responses are small and written whole: without TCP_NODELAY, Nagle
+      // holds a response behind the previous unacknowledged one until the
+      // client's next send, so a paced request waits for the next arrival.
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       auto conn = std::make_unique<Conn>();
       conn->fd = fd;
       conns.push_back(std::move(conn));
