@@ -15,7 +15,8 @@
 // This layer is the solver *vocabulary*, not the serving surface: callers
 // that want caching, persistence and asynchronous jobs construct an
 // engine::Engine (engine/engine.hpp) on top of it. The old enum facade in
-// core/solvers.hpp has been removed (the header keeps the migration map).
+// core/solvers.hpp has been removed; tests/core/solvers_test.cpp opens with
+// its enum -> registry-name migration map.
 
 #include <optional>
 #include <string>
