@@ -144,7 +144,6 @@
 #include "frontier/compare.hpp"
 #include "frontier/export.hpp"
 #include "frontier/frontier.hpp"
-#include "frontier/telemetry.hpp"
 #include "graph/io.hpp"
 #include "model/ladder.hpp"
 #include "obs/export.hpp"
@@ -645,8 +644,30 @@ int run_frontier(CliArgs& args) {
   }
   engine::Engine& eng = created.value();
 
-  frontier::CacheStatsLog stats_log;
-  stats_log.sample("open", eng.cache());
+  // --cache-stats-out: one row of cumulative CacheStats per phase (open,
+  // sweep-old, final); consumers difference adjacent rows for rates.
+  obs::SampleTable stats_table({"label", "elapsed_ms", "hits", "misses", "store_hits",
+                                "hit_rate", "entries", "bytes", "evictions", "spills",
+                                "warm_seeds", "interned_blobs"});
+  const auto stats_epoch = std::chrono::steady_clock::now();
+  const auto sample_stats = [&](const std::string& label) {
+    const frontier::CacheStats s = eng.cache().stats();
+    stats_table.begin_row();
+    stats_table.add_label(label);
+    stats_table.add_value(obs::format_double(
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
+                                                  stats_epoch)
+            .count()));
+    for (std::size_t v : {s.hits, s.misses, s.store_hits}) {
+      stats_table.add_value(std::to_string(v));
+    }
+    stats_table.add_value(obs::format_double(s.hit_rate()));
+    for (std::size_t v : {s.entries, s.bytes, s.evictions, s.spills, s.warm_seeds,
+                          s.interned_blobs}) {
+      stats_table.add_value(std::to_string(v));
+    }
+  };
+  sample_stats("open");
 
   frontier::FrontierOptions fopt;
   fopt.initial_points = args.points;
@@ -668,7 +689,7 @@ int run_frontier(CliArgs& args) {
   // instance's curve (bit-identical to its cold sweep) warm-started from
   // the old one.
   auto note_prev = [&](const frontier::FrontierResult& prev) {
-    stats_log.sample("sweep-old", eng.cache());
+    sample_stats("sweep-old");
     if (!args.csv && !args.json) {
       std::cout << "old instance '" << args.dag_paths[0] << "': "
                 << prev.points.size() << " frontier points from " << prev.evaluated
@@ -781,10 +802,10 @@ int run_frontier(CliArgs& args) {
   // Epilogue, on every dispatch path: final telemetry snapshot, stats
   // export, trace dump, and the cache/store summary for human-readable
   // runs.
-  stats_log.sample("final", eng.cache());
+  sample_stats("final");
   write_trace(eng, args);
   if (!args.cache_stats_out.empty()) {
-    const common::Status written = stats_log.write_file(args.cache_stats_out);
+    const common::Status written = stats_table.write_file(args.cache_stats_out);
     if (!written.is_ok()) {
       std::cerr << "cannot write cache stats: " << written.to_string() << "\n";
     }

@@ -2,7 +2,7 @@
 // Shared serialization helpers for every telemetry export in the repo.
 //
 // Before src/obs existed, each telemetry surface (frontier CSV/JSON
-// export, the CacheStatsLog series writer, bench JSON) carried its own
+// export, the cache-stats series writer, bench JSON) carried its own
 // escaping and float-formatting code. This header is the single home:
 //
 //   csv_escape / json_escape   label text made safe for either format
@@ -11,8 +11,7 @@
 //                              determinism contract for serialized floats
 //   SampleTable                a column-ordered table of labelled numeric
 //                              samples with one CSV and one JSON writer;
-//                              frontier::CacheStatsLog and the CLI's
-//                              --cache-stats-out alias both go through it
+//                              the CLI's --cache-stats-out series is one
 //
 // The obs metrics Registry (metrics.hpp) uses the same escapes and the
 // same float format, so a dashboard ingesting any easched export parses
