@@ -10,9 +10,8 @@ namespace {
 constexpr std::size_t kHeaderBytes = 1 + 8;  // type + payload length
 constexpr std::size_t kCrcBytes = 4;
 
-}  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of `n` bytes.
+std::uint32_t crc32(const void* data, std::size_t n) {
   static const std::array<std::uint32_t, 256> table = [] {
     std::array<std::uint32_t, 256> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
@@ -22,11 +21,13 @@ std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
     }
     return t;
   }();
-  std::uint32_t crc = ~seed;
+  std::uint32_t crc = ~0u;
   const auto* p = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < n; ++i) crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
   return ~crc;
 }
+
+}  // namespace
 
 std::string encode_frame(std::uint8_t type, std::string_view payload) {
   std::string out;

@@ -20,10 +20,6 @@
 
 namespace easched::common {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of `n` bytes, chainable via
-/// `seed` (pass a previous return value to continue a running checksum).
-std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
-
 /// Encodes `payload` as one complete frame of `type`.
 std::string encode_frame(std::uint8_t type, std::string_view payload);
 
