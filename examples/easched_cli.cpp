@@ -652,12 +652,11 @@ int run_frontier(CliArgs& args) {
   const auto stats_epoch = std::chrono::steady_clock::now();
   const auto sample_stats = [&](const std::string& label) {
     const frontier::CacheStats s = eng.cache().stats();
+    const std::chrono::duration<double, std::milli> elapsed =
+        std::chrono::steady_clock::now() - stats_epoch;
     stats_table.begin_row();
     stats_table.add_label(label);
-    stats_table.add_value(obs::format_double(
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                  stats_epoch)
-            .count()));
+    stats_table.add_value(obs::format_double(elapsed.count()));
     for (std::size_t v : {s.hits, s.misses, s.store_hits}) {
       stats_table.add_value(std::to_string(v));
     }
