@@ -1,5 +1,6 @@
 #include "graph/io.hpp"
 
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -27,11 +28,28 @@ void write_text(const Dag& dag, std::ostream& os) {
   }
 }
 
-common::Result<Dag> read_text(std::istream& is) {
+namespace {
+
+/// The shortest task line, "task 0 0": the keyword, two separators, a
+/// one-digit id and a one-digit weight.
+constexpr std::size_t kMinTaskLineBytes = 8;
+
+/// Parses `size` bytes of text format from `is`.
+common::Result<Dag> parse(std::istream& is, std::size_t size) {
   std::string keyword;
   int n = -1;
   if (!(is >> keyword >> n) || keyword != "dag" || n < 0) {
     return common::Status::invalid("expected header 'dag <n>'");
+  }
+  // Every task needs its own task line, so an n the remaining bytes cannot
+  // hold is rejected before the tasks are allocated: a 13-byte header must
+  // not cost gigabytes. tellg() is -1 once the header reached the end.
+  const std::streamoff pos = is.tellg();
+  const std::size_t rest = pos < 0 ? 0 : size - static_cast<std::size_t>(pos);
+  if (static_cast<std::size_t>(n) > rest / kMinTaskLineBytes) {
+    return common::Status::invalid("header claims " + std::to_string(n) +
+                                   " tasks but only " + std::to_string(rest) +
+                                   " bytes follow it");
   }
   Dag dag;
   std::vector<bool> seen(static_cast<std::size_t>(n), false);
@@ -68,6 +86,13 @@ common::Result<Dag> read_text(std::istream& is) {
   return dag;
 }
 
+}  // namespace
+
+common::Result<Dag> read_text(std::istream& is) {
+  const std::string text{std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+  return from_text(text);
+}
+
 std::string to_text(const Dag& dag) {
   std::ostringstream os;
   write_text(dag, os);
@@ -76,7 +101,7 @@ std::string to_text(const Dag& dag) {
 
 common::Result<Dag> from_text(const std::string& text) {
   std::istringstream is(text);
-  return read_text(is);
+  return parse(is, text.size());
 }
 
 }  // namespace easched::graph

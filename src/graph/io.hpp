@@ -21,7 +21,10 @@ void write_dot(const Dag& dag, std::ostream& os);
 /// Writes the text format described above.
 void write_text(const Dag& dag, std::ostream& os);
 
-/// Parses the text format; validates ids and acyclicity.
+/// Parses the text format; validates ids and acyclicity. A header whose
+/// task count the remaining bytes cannot hold (one task line per task) is
+/// rejected before anything is allocated. read_text consumes the stream
+/// to its end.
 common::Result<Dag> read_text(std::istream& is);
 
 /// Round-trip helpers on strings.
