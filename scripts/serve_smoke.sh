@@ -2,7 +2,8 @@
 # Serve-tier smoke gate: boots a real `easched_cli serve` daemon on an
 # ephemeral loopback port, drives it with the `remote` subcommand
 # (solve, sweep, stat), scrapes the Metrics endpoint twice (exposition
-# lines must parse, counters must be monotone between scrapes), checks a
+# lines must parse, counters must be monotone between scrapes), repeats
+# a solve and checks the scrape counts a problem-memo hit, checks a
 # --trace-out run emits Chrome trace_event JSON replaying the job
 # lifecycle, asserts a clean SIGTERM shutdown, then runs the
 # bench_serve_load replay trace (warm-vs-cold and overload-shedding
@@ -116,6 +117,22 @@ if (( req2 <= req1 )); then
   exit 1
 fi
 echo "serve_smoke: metrics scrape OK (requests $req1 -> $req2)"
+
+# ---- the built-problem memo is wired in ---------------------------------
+# The same solve again must be served from the daemon's problem memo.
+"$build_dir/easched_cli" remote "127.0.0.1:$port" solve "$tmp_dir/smoke.dag" \
+  --deadline 14 > "$tmp_dir/solve2.out"
+grep -q '^energy:' "$tmp_dir/solve2.out"
+"$build_dir/easched_cli" remote "127.0.0.1:$port" stat --deep \
+  > "$tmp_dir/scrape3.out"
+memo_hits="$(sed -n \
+  's/^easched_serve_problem_memo_hits_total{tenant="default"} \([0-9]*\)$/\1/p' \
+  "$tmp_dir/scrape3.out")"
+if (( ${memo_hits:-0} < 1 )); then
+  echo "serve_smoke: repeated solve did not hit the problem memo" >&2
+  exit 1
+fi
+echo "serve_smoke: problem memo OK (hits $memo_hits)"
 
 # ---- clean SIGTERM shutdown ---------------------------------------------
 kill -TERM "$daemon_pid"

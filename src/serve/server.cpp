@@ -13,13 +13,17 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <list>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "graph/io.hpp"
@@ -91,6 +95,9 @@ struct Tenant {
   obs::Counter* m_completed = nullptr;          ///< easched_serve_completed_total{tenant}
   obs::Counter* m_deadline_exceeded = nullptr;  ///< ..._deadline_exceeded_total{tenant}
   obs::Histogram* m_latency_ms = nullptr;       ///< easched_serve_latency_ms{tenant}
+  obs::Counter* m_memo_hits = nullptr;       ///< easched_serve_problem_memo_hits_total{tenant}
+  obs::Counter* m_memo_misses = nullptr;     ///< ..._problem_memo_misses_total{tenant}
+  obs::Counter* m_memo_evictions = nullptr;  ///< ..._problem_memo_evictions_total{tenant}
 };
 
 /// Daemon-wide counters, shared (not owned) with completion callbacks so
@@ -103,6 +110,9 @@ struct StatsBlock {
   std::atomic<std::uint64_t> completed{0};
   std::atomic<std::uint64_t> deadline_exceeded{0};
   std::atomic<std::uint64_t> protocol_errors{0};
+  std::atomic<std::uint64_t> problem_memo_hits{0};
+  std::atomic<std::uint64_t> problem_memo_misses{0};
+  std::atomic<std::uint64_t> problem_memo_evictions{0};
 };
 
 /// Arrival-to-response latency of one admitted request, in ms.
@@ -149,8 +159,6 @@ struct BuiltProblem {
 /// boundary the peer's bytes are data, not preconditions, so those throws
 /// degrade into kInvalidArgument responses.
 common::Result<BuiltProblem> build_problem(const ProblemSpec& spec, double deadline) {
-  auto dag = graph::from_text(spec.dag_text);
-  if (!dag.is_ok()) return dag.status();
   if (spec.processors < 1) {
     return common::Status::invalid("ProblemSpec: processors must be >= 1");
   }
@@ -158,6 +166,8 @@ common::Result<BuiltProblem> build_problem(const ProblemSpec& spec, double deadl
     return common::Status::invalid("ProblemSpec: deadline must be > 0");
   }
   try {
+    auto dag = graph::from_text(spec.dag_text);
+    if (!dag.is_ok()) return dag.status();
     model::SpeedModel speeds = [&] {
       switch (spec.speed_kind) {
         case model::SpeedModelKind::kDiscrete:
@@ -189,6 +199,29 @@ common::Result<BuiltProblem> build_problem(const ProblemSpec& spec, double deadl
   }
 }
 
+/// Caps on the built-problem memo. Keys are dominated by their DAG text,
+/// and a built problem holds about four times the bytes of the text it
+/// came from, so the byte cap bounds the whole memo to about 80 MiB.
+constexpr std::size_t kMemoMaxEntries = 1024;
+constexpr std::size_t kMemoMaxKeyBytes = 16u << 20;
+
+/// The memo key: every request byte that determines a built problem —
+/// the tenant id, the spec as built and the anchor deadline's bits.
+std::string memo_key(const std::string& tenant, const ProblemSpec& spec, double anchor) {
+  std::string key;
+  common::ByteWriter w(key);
+  w.str<std::uint32_t>(tenant);
+  spec.encode(key);
+  w.f64(anchor);
+  return key;
+}
+
+struct MemoEntry {
+  std::string key;
+  std::shared_ptr<Tenant> owner;  ///< charged with the entry's eviction
+  BuiltProblem problem;
+};
+
 }  // namespace
 
 struct Server::Impl {
@@ -206,6 +239,13 @@ struct Server::Impl {
   /// Tenant states outlive their connections (counters persist across
   /// reconnects); only the loop thread touches the map itself.
   std::map<std::string, std::shared_ptr<Tenant>> tenants;
+  /// Built-problem memo (loop thread only): problems are immutable, so
+  /// one built instance serves every later request with the same key.
+  /// The index views the keys its list entries own; the map compares
+  /// whole keys, so a hash collision never makes a hit.
+  std::list<MemoEntry> memo;  ///< most recently used first
+  std::unordered_map<std::string_view, std::list<MemoEntry>::iterator> memo_index;
+  std::size_t memo_key_bytes = 0;
 
   ~Impl() { shutdown(); }
 
@@ -222,6 +262,11 @@ struct Server::Impl {
         slot->m_deadline_exceeded =
             reg->counter("easched_serve_deadline_exceeded_total", by_tenant);
         slot->m_latency_ms = reg->histogram("easched_serve_latency_ms", by_tenant);
+        slot->m_memo_hits = reg->counter("easched_serve_problem_memo_hits_total", by_tenant);
+        slot->m_memo_misses =
+            reg->counter("easched_serve_problem_memo_misses_total", by_tenant);
+        slot->m_memo_evictions =
+            reg->counter("easched_serve_problem_memo_evictions_total", by_tenant);
       }
     }
     return slot;
@@ -231,6 +276,37 @@ struct Server::Impl {
   void count_request(Conn& conn) {
     stats->requests.fetch_add(1, std::memory_order_relaxed);
     if (conn.tenant->m_requests != nullptr) conn.tenant->m_requests->inc();
+  }
+
+  /// build_problem through the memo: a hit skips the DAG parse and the
+  /// list scheduling. Only successful builds are stored, so a rejected
+  /// spec is rebuilt (and rejected) every time.
+  common::Result<BuiltProblem> build_memoized(Conn& conn, const ProblemSpec& spec,
+                                              double anchor) {
+    Tenant& tenant = *conn.tenant;
+    std::string key = memo_key(conn.tenant_id, spec, anchor);
+    if (const auto it = memo_index.find(key); it != memo_index.end()) {
+      memo.splice(memo.begin(), memo, it->second);
+      stats->problem_memo_hits.fetch_add(1, std::memory_order_relaxed);
+      if (tenant.m_memo_hits != nullptr) tenant.m_memo_hits->inc();
+      return it->second->problem;
+    }
+    stats->problem_memo_misses.fetch_add(1, std::memory_order_relaxed);
+    if (tenant.m_memo_misses != nullptr) tenant.m_memo_misses->inc();
+    auto built = build_problem(spec, anchor);
+    if (!built.is_ok() || key.size() > kMemoMaxKeyBytes) return built;
+    memo_key_bytes += key.size();
+    memo.push_front(MemoEntry{std::move(key), conn.tenant, built.value()});
+    memo_index.emplace(memo.front().key, memo.begin());
+    while (memo.size() > kMemoMaxEntries || memo_key_bytes > kMemoMaxKeyBytes) {
+      const MemoEntry& victim = memo.back();
+      stats->problem_memo_evictions.fetch_add(1, std::memory_order_relaxed);
+      if (victim.owner->m_memo_evictions != nullptr) victim.owner->m_memo_evictions->inc();
+      memo_key_bytes -= victim.key.size();
+      memo_index.erase(victim.key);
+      memo.pop_back();
+    }
+    return built;
   }
 
   void enqueue(Conn& conn, MsgType type, const std::string& payload) {
@@ -362,7 +438,7 @@ struct Server::Impl {
     }
     const SolveRequest& msg = decoded.value();
     count_request(conn);
-    auto built = build_problem(msg.problem, msg.problem.deadline);
+    auto built = build_memoized(conn, msg.problem, msg.problem.deadline);
     if (!built.is_ok()) {
       SolveResponse resp;
       resp.request_id = msg.request_id;
@@ -459,7 +535,7 @@ struct Server::Impl {
     } else {
       anchor = msg.hi;
     }
-    auto built = build_problem(spec, anchor);
+    auto built = build_memoized(conn, spec, anchor);
     if (!built.is_ok()) {
       reject(built.status());
       return;
@@ -863,6 +939,9 @@ ServerStats Server::stats() const {
   out.completed = s.completed.load(std::memory_order_relaxed);
   out.deadline_exceeded = s.deadline_exceeded.load(std::memory_order_relaxed);
   out.protocol_errors = s.protocol_errors.load(std::memory_order_relaxed);
+  out.problem_memo_hits = s.problem_memo_hits.load(std::memory_order_relaxed);
+  out.problem_memo_misses = s.problem_memo_misses.load(std::memory_order_relaxed);
+  out.problem_memo_evictions = s.problem_memo_evictions.load(std::memory_order_relaxed);
   return out;
 }
 

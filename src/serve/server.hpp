@@ -6,8 +6,19 @@
 // protocol frames (serve/protocol.hpp), turns requests into Engine
 // submits, and flushes responses as the engine's worker threads complete
 // them. The loop itself never solves anything — a request costs it one
-// decode + one submit — so a slow sweep for one client never stalls
-// another client's traffic.
+// decode, one problem lookup and one submit — so a slow sweep for one
+// client never stalls another client's traffic.
+//
+// Problem memo: a request's problem (the DAG parse plus the list-scheduled
+// mapping) is built once and memoized under the exact bytes that
+// determine it — tenant id, encoded ProblemSpec as built (a reliability
+// sweep's spec carries frel = hi) and the anchor deadline's bit pattern.
+// A hit needs equality of all of them, never just a hash. The memo is
+// per tenant like everything else (identical bytes from two tenants are
+// two entries), touched only by the loop thread, and bounded by fixed
+// entry and key-byte caps with LRU eviction; rejected specs are never
+// stored. A hit still pays the engine's instance serialisation and digest
+// on the way into the cache.
 //
 // Multi-tenancy: every connection handshakes with a tenant id, and the
 // server folds that id into each request's cache namespace
@@ -68,6 +79,9 @@ struct ServerStats {
   std::uint64_t completed = 0;        ///< responses sent for admitted jobs
   std::uint64_t deadline_exceeded = 0;  ///< completed with an expired job deadline
   std::uint64_t protocol_errors = 0;  ///< bad frames / undecodable payloads
+  std::uint64_t problem_memo_hits = 0;       ///< requests served a memoized problem
+  std::uint64_t problem_memo_misses = 0;     ///< requests that built their problem
+  std::uint64_t problem_memo_evictions = 0;  ///< memo entries dropped by its caps
 };
 
 class Server {

@@ -7,7 +7,12 @@
 //     while a second tenant's traffic is still admitted (fairness);
 //   * a version-mismatch Hello is refused in the handshake;
 //   * a CRC-corrupt frame costs one ErrorResponse, not the connection;
-//   * a request sent before the handshake closes the connection.
+//   * a request sent before the handshake closes the connection;
+//   * the built-problem memo: a repeated request is a hit answered
+//     bit-identically, tenants never share entries, every ProblemSpec
+//     field is part of the key, rejected specs are never stored, and an
+//     evicted spec is rebuilt and still answered correctly;
+//   * a DAG header claiming billions of tasks is rejected at once.
 // The whole file must run clean under check.sh --tsan: responses are
 // encoded on engine worker threads while the poll loop owns the sockets.
 
@@ -20,7 +25,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <cmath>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -30,6 +39,7 @@
 #include "graph/analysis.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "model/reliability.hpp"
 #include "sched/list_scheduler.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -64,6 +74,59 @@ TestProblem make_problem(std::uint64_t seed, int tasks, double slack) {
   core::BiCritProblem local(dag, mapping, model::SpeedModel::continuous(0.1, 1.0),
                             deadline);
   return {std::move(spec), std::move(local)};
+}
+
+/// What the local api answers for `spec` built the way the daemon builds
+/// it: the critical-path list-scheduled mapping and `anchor` as deadline.
+common::Result<api::SolveReport> solve_locally(const ProblemSpec& spec, double anchor) {
+  auto dag = graph::from_text(spec.dag_text);
+  if (!dag.is_ok()) return dag.status();
+  try {
+    const model::SpeedModel speeds = [&] {
+      switch (spec.speed_kind) {
+        case model::SpeedModelKind::kDiscrete:
+          return model::SpeedModel::discrete(spec.levels);
+        case model::SpeedModelKind::kVddHopping:
+          return model::SpeedModel::vdd_hopping(spec.levels);
+        case model::SpeedModelKind::kIncremental:
+          return model::SpeedModel::incremental(spec.fmin, spec.fmax, spec.delta);
+        case model::SpeedModelKind::kContinuous:
+        default:
+          return model::SpeedModel::continuous(spec.fmin, spec.fmax);
+      }
+    }();
+    const auto mapping = sched::list_schedule(dag.value(), spec.processors,
+                                              sched::PriorityPolicy::kCriticalPath);
+    if (spec.tricrit) {
+      const model::ReliabilityModel rel(spec.lambda0, spec.dexp, speeds.fmin(),
+                                        speeds.fmax(), spec.frel);
+      return api::solve(core::TriCritProblem(dag.value(), mapping, speeds, rel, anchor));
+    }
+    return api::solve(core::BiCritProblem(dag.value(), mapping, speeds, anchor));
+  } catch (const std::exception& e) {
+    return common::Status::invalid(e.what());
+  }
+}
+
+/// The daemon's answer equals the local one bit for bit (or fails alike).
+void expect_matches_local(const SolveResponse& remote, const ProblemSpec& spec) {
+  const auto local = solve_locally(spec, spec.deadline);
+  if (!local.is_ok()) {
+    EXPECT_EQ(remote.status.code(), local.status().code()) << remote.status.to_string();
+    return;
+  }
+  ASSERT_TRUE(remote.status.is_ok()) << remote.status.to_string();
+  EXPECT_EQ(remote.energy, local.value().energy);
+  EXPECT_EQ(remote.makespan, local.value().makespan);
+  EXPECT_EQ(remote.solver, local.value().solver);
+}
+
+/// A per-tenant problem-memo counter from the daemon's metric registry.
+std::uint64_t memo_counter(engine::Engine& engine, const std::string& which,
+                           const std::string& tenant) {
+  return engine.metrics()
+      ->counter("easched_serve_problem_memo_" + which + "_total", {{"tenant", tenant}})
+      ->value();
 }
 
 /// An Engine + running Server on an ephemeral loopback port. Heap-held:
@@ -495,6 +558,369 @@ TEST(Serve, EmptyTenantIsRejectedClientSide) {
   auto daemon = Daemon::start({}, {});
   auto client = Client::connect("127.0.0.1", daemon.server->port(), "");
   EXPECT_FALSE(client.is_ok());
+  daemon.server->stop();
+}
+
+TEST(Serve, RepeatedSolveIsAMemoHitAndBitIdentical) {
+  auto daemon = Daemon::start({}, {});
+  const auto problem = make_problem(31, 10, 1.6);
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "memo");
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+
+  SolveRequest request;
+  request.problem = problem.spec;
+  auto first = client.value().solve(request);
+  ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+  EXPECT_EQ(daemon.server->stats().problem_memo_misses, 1u);
+  EXPECT_EQ(daemon.server->stats().problem_memo_hits, 0u);
+
+  // The solver name is not part of the key: naming the solver the first
+  // request auto-selected reuses the built problem.
+  request.solver = first.value().solver;
+  auto second = client.value().solve(request);
+  ASSERT_TRUE(second.is_ok()) << second.status().to_string();
+  const ServerStats stats = daemon.server->stats();
+  EXPECT_EQ(stats.problem_memo_misses, 1u);
+  EXPECT_EQ(stats.problem_memo_hits, 1u);
+  EXPECT_EQ(stats.problem_memo_evictions, 0u);
+  EXPECT_EQ(memo_counter(*daemon.engine, "hits", "memo"), 1u);
+  EXPECT_EQ(memo_counter(*daemon.engine, "misses", "memo"), 1u);
+
+  expect_matches_local(first.value(), problem.spec);
+  EXPECT_EQ(second.value().status.code(), first.value().status.code());
+  EXPECT_EQ(second.value().energy, first.value().energy);
+  EXPECT_EQ(second.value().makespan, first.value().makespan);
+  EXPECT_EQ(second.value().solver, first.value().solver);
+  daemon.server->stop();
+}
+
+TEST(Serve, ProblemMemoIsScopedPerTenant) {
+  auto daemon = Daemon::start({}, {});
+  const auto problem = make_problem(32, 8, 1.6);
+  auto a = Client::connect("127.0.0.1", daemon.server->port(), "tenant-a");
+  auto b = Client::connect("127.0.0.1", daemon.server->port(), "tenant-b");
+  ASSERT_TRUE(a.is_ok());
+  ASSERT_TRUE(b.is_ok());
+
+  // Identical bytes from two tenants build two entries.
+  SolveRequest request;
+  request.problem = problem.spec;
+  for (auto* client : {&a.value(), &b.value()}) {
+    auto response = client->solve(request);
+    ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+    expect_matches_local(response.value(), problem.spec);
+  }
+  EXPECT_EQ(daemon.server->stats().problem_memo_misses, 2u);
+  EXPECT_EQ(daemon.server->stats().problem_memo_hits, 0u);
+  EXPECT_EQ(memo_counter(*daemon.engine, "misses", "tenant-a"), 1u);
+  EXPECT_EQ(memo_counter(*daemon.engine, "misses", "tenant-b"), 1u);
+
+  // ...and each tenant then hits its own.
+  for (auto* client : {&a.value(), &b.value()}) {
+    auto response = client->solve(request);
+    ASSERT_TRUE(response.is_ok());
+    expect_matches_local(response.value(), problem.spec);
+  }
+  EXPECT_EQ(daemon.server->stats().problem_memo_hits, 2u);
+  EXPECT_EQ(memo_counter(*daemon.engine, "hits", "tenant-a"), 1u);
+  EXPECT_EQ(memo_counter(*daemon.engine, "hits", "tenant-b"), 1u);
+  daemon.server->stop();
+}
+
+TEST(Serve, ProblemMemoKeyCoversEverySpecField) {
+  auto daemon = Daemon::start({}, {});
+  const auto problem = make_problem(33, 7, 2.5);
+  ProblemSpec base = problem.spec;
+  base.fmin = 0.2;
+  base.delta = 0.1;
+  base.levels = {0.2, 0.5, 0.8, 1.0};
+  base.tricrit = true;
+  base.frel = 0.8;
+
+  const std::string heavier_dag = [&] {
+    auto dag = graph::from_text(base.dag_text).take();
+    dag.set_weight(0, dag.weight(0) * 2.0);
+    return graph::to_text(dag);
+  }();
+  const std::vector<std::pair<std::string, std::function<void(ProblemSpec&)>>> variants = {
+      {"dag_text", [&](ProblemSpec& s) { s.dag_text = heavier_dag; }},
+      {"processors", [](ProblemSpec& s) { s.processors = 2; }},
+      {"speed_kind", [](ProblemSpec& s) { s.speed_kind = model::SpeedModelKind::kVddHopping; }},
+      {"fmin", [](ProblemSpec& s) { s.fmin = 0.25; }},
+      {"fmax", [](ProblemSpec& s) { s.fmax = 0.95; }},
+      {"delta", [](ProblemSpec& s) { s.delta = 0.05; }},
+      {"levels", [](ProblemSpec& s) { s.levels = {0.2, 0.6, 1.0}; }},
+      {"deadline",
+       [](ProblemSpec& s) {
+         s.deadline = std::nextafter(s.deadline, std::numeric_limits<double>::infinity());
+       }},
+      {"tricrit", [](ProblemSpec& s) { s.tricrit = false; }},
+      {"lambda0", [](ProblemSpec& s) { s.lambda0 = 2e-5; }},
+      {"dexp", [](ProblemSpec& s) { s.dexp = 2.5; }},
+      {"frel", [](ProblemSpec& s) { s.frel = 0.7; }},
+  };
+
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "fields");
+  ASSERT_TRUE(client.is_ok());
+  SolveRequest request;
+  request.problem = base;
+  auto first = client.value().solve(request);
+  ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+  expect_matches_local(first.value(), base);
+
+  std::uint64_t misses = 1;
+  for (const auto& [field, change] : variants) {
+    SCOPED_TRACE("changed field: " + field);
+    request.problem = base;
+    change(request.problem);
+    auto response = client.value().solve(request);
+    ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+    ++misses;
+    EXPECT_EQ(daemon.server->stats().problem_memo_misses, misses);
+    EXPECT_EQ(daemon.server->stats().problem_memo_hits, 0u);
+    expect_matches_local(response.value(), request.problem);
+  }
+
+  // The untouched spec still hits its own entry.
+  request.problem = base;
+  auto again = client.value().solve(request);
+  ASSERT_TRUE(again.is_ok());
+  EXPECT_EQ(daemon.server->stats().problem_memo_hits, 1u);
+  EXPECT_EQ(again.value().energy, first.value().energy);
+  daemon.server->stop();
+}
+
+TEST(Serve, DeadlineAndReliabilitySweepsGetSeparateEntries) {
+  auto daemon = Daemon::start({}, {});
+  const auto problem = make_problem(34, 6, 2.0);
+  ProblemSpec spec = problem.spec;
+  spec.fmin = 0.2;
+  spec.tricrit = true;
+  spec.frel = 0.8;
+
+  SweepRequest by_deadline;
+  by_deadline.problem = spec;
+  by_deadline.axis = WireAxis::kDeadline;
+  by_deadline.lo = spec.deadline * 0.6;
+  by_deadline.hi = spec.deadline;
+  by_deadline.initial_points = 3;
+  by_deadline.max_points = 5;
+  SweepRequest by_reliability = by_deadline;
+  by_reliability.axis = WireAxis::kReliability;
+  by_reliability.lo = 0.5;
+  by_reliability.hi = 0.9;
+
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "sweeper");
+  ASSERT_TRUE(client.is_ok());
+  std::vector<SweepResponse> firsts;
+  for (const SweepRequest* sweep : {&by_deadline, &by_reliability}) {
+    auto response = client.value().sweep(*sweep);
+    ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+    ASSERT_TRUE(response.value().status.is_ok()) << response.value().status.to_string();
+    firsts.push_back(std::move(response).take());
+  }
+  EXPECT_EQ(daemon.server->stats().problem_memo_misses, 2u);
+  EXPECT_EQ(daemon.server->stats().problem_memo_hits, 0u);
+
+  // Each sweep hits its own entry and returns the same curve; the sweep
+  // range beyond the anchor is not part of the key.
+  for (std::size_t i = 0; i < 2; ++i) {
+    SweepRequest again = i == 0 ? by_deadline : by_reliability;
+    again.lo *= 1.1;
+    auto response = client.value().sweep(again);
+    ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+    ASSERT_TRUE(response.value().status.is_ok());
+    EXPECT_EQ(response.value().axis, firsts[i].axis);
+  }
+  EXPECT_EQ(daemon.server->stats().problem_memo_hits, 2u);
+  EXPECT_EQ(daemon.server->stats().problem_memo_misses, 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    auto response = client.value().sweep(i == 0 ? by_deadline : by_reliability);
+    ASSERT_TRUE(response.is_ok());
+    ASSERT_EQ(response.value().points.size(), firsts[i].points.size());
+    for (std::size_t p = 0; p < firsts[i].points.size(); ++p) {
+      EXPECT_EQ(response.value().points[p].constraint, firsts[i].points[p].constraint);
+      EXPECT_EQ(response.value().points[p].energy, firsts[i].points[p].energy);
+      EXPECT_EQ(response.value().points[p].solver, firsts[i].points[p].solver);
+    }
+  }
+  EXPECT_EQ(daemon.server->stats().problem_memo_hits, 4u);
+
+  // The deadline sweep anchors at its axis maximum, so a solve at that
+  // deadline is the same problem and shares the deadline sweep's entry.
+  SolveRequest solve;
+  solve.problem = spec;
+  auto solved = client.value().solve(solve);
+  ASSERT_TRUE(solved.is_ok());
+  expect_matches_local(solved.value(), spec);
+  EXPECT_EQ(daemon.server->stats().problem_memo_hits, 5u);
+  EXPECT_EQ(daemon.server->stats().problem_memo_misses, 2u);
+
+  // A deadline sweep to another axis maximum is another anchor.
+  SweepRequest shorter = by_deadline;
+  shorter.hi = spec.deadline * 0.9;
+  auto swept = client.value().sweep(shorter);
+  ASSERT_TRUE(swept.is_ok());
+  EXPECT_TRUE(swept.value().status.is_ok()) << swept.value().status.to_string();
+  EXPECT_EQ(daemon.server->stats().problem_memo_misses, 3u);
+  daemon.server->stop();
+}
+
+TEST(Serve, RejectedSpecIsNeverMemoized) {
+  auto daemon = Daemon::start({}, {});
+  const auto problem = make_problem(35, 8, 1.6);
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "rejects");
+  ASSERT_TRUE(client.is_ok());
+
+  ProblemSpec bad_dag = problem.spec;
+  bad_dag.dag_text = "dag 2\ntask 0 1 a\ntask 1 1 b\nedge 0 1\nedge 1 0\n";  // a cycle
+  ProblemSpec bad_model = problem.spec;
+  bad_model.fmin = 2.0;  // above fmax: the speed model refuses it
+  for (const ProblemSpec* spec : {&bad_dag, &bad_model, &bad_dag, &bad_model}) {
+    SolveRequest request;
+    request.problem = *spec;
+    auto response = client.value().solve(request);
+    ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+    EXPECT_EQ(response.value().status.code(), common::StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(daemon.server->stats().problem_memo_misses, 4u);
+  EXPECT_EQ(daemon.server->stats().problem_memo_hits, 0u);
+
+  // The connection and the memo still work for a valid spec.
+  SolveRequest good;
+  good.problem = problem.spec;
+  for (int i = 0; i < 2; ++i) {
+    auto response = client.value().solve(good);
+    ASSERT_TRUE(response.is_ok());
+    expect_matches_local(response.value(), problem.spec);
+  }
+  EXPECT_EQ(daemon.server->stats().problem_memo_misses, 5u);
+  EXPECT_EQ(daemon.server->stats().problem_memo_hits, 1u);
+  daemon.server->stop();
+}
+
+TEST(Serve, EvictedSpecIsRebuiltAndAnsweredCorrectly) {
+  auto daemon = Daemon::start({}, {});
+  ProblemSpec base;
+  base.dag_text = "dag 3\ntask 0 2 a\ntask 1 3 b\ntask 2 1 c\nedge 0 1\nedge 0 2\n";
+  base.processors = 2;
+  base.deadline = 10.0;
+  auto nth = [&](int i) {
+    ProblemSpec spec = base;
+    spec.deadline += 0.01 * i;
+    return spec;
+  };
+
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "wide");
+  ASSERT_TRUE(client.is_ok());
+  // Distinct specs, pipelined in batches, until the entry cap evicts.
+  constexpr int kBatch = 64;
+  constexpr int kMaxSpecs = 8192;
+  int sent = 0;
+  while (daemon.server->stats().problem_memo_evictions == 0 && sent < kMaxSpecs) {
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < kBatch; ++i, ++sent) {
+      SolveRequest request;
+      request.request_id = client.value().next_request_id();
+      request.problem = nth(sent);
+      ASSERT_TRUE(client.value().send(request).is_ok());
+      ids.push_back(request.request_id);
+    }
+    for (const auto id : ids) {
+      auto response = client.value().wait_solve(id);
+      ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+      ASSERT_TRUE(response.value().status.is_ok()) << response.value().status.to_string();
+    }
+  }
+  const ServerStats filled = daemon.server->stats();
+  ASSERT_GT(filled.problem_memo_evictions, 0u) << "no eviction after " << sent << " specs";
+  EXPECT_EQ(filled.problem_memo_misses, static_cast<std::uint64_t>(sent));
+  EXPECT_EQ(filled.problem_memo_hits, 0u);
+  EXPECT_EQ(memo_counter(*daemon.engine, "evictions", "wide"), filled.problem_memo_evictions);
+
+  // The newest spec is still memoized; the oldest was evicted first (LRU)
+  // and is rebuilt, answering exactly what the local api answers.
+  SolveRequest newest;
+  newest.problem = nth(sent - 1);
+  auto hit = client.value().solve(newest);
+  ASSERT_TRUE(hit.is_ok());
+  expect_matches_local(hit.value(), newest.problem);
+  EXPECT_EQ(daemon.server->stats().problem_memo_hits, 1u);
+
+  SolveRequest oldest;
+  oldest.problem = nth(0);
+  auto rebuilt = client.value().solve(oldest);
+  ASSERT_TRUE(rebuilt.is_ok());
+  expect_matches_local(rebuilt.value(), oldest.problem);
+  EXPECT_EQ(daemon.server->stats().problem_memo_hits, 1u);
+  EXPECT_EQ(daemon.server->stats().problem_memo_misses, filled.problem_memo_misses + 1);
+  daemon.server->stop();
+}
+
+TEST(Serve, ProblemMemoKeyByteCapEvicts) {
+  auto daemon = Daemon::start({}, {});
+  // A one-task DAG with a 5 MiB task name: a cheap problem with a large
+  // key, so a handful of distinct deadlines exceeds the key-byte cap long
+  // before the entry cap.
+  ProblemSpec base;
+  base.dag_text = "dag 1\ntask 0 2 " + std::string(5u << 20, 'x') + "\n";
+  base.processors = 1;
+  base.deadline = 4.0;
+  auto nth = [&](int i) {
+    ProblemSpec spec = base;
+    spec.deadline += i;
+    return spec;
+  };
+
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "large");
+  ASSERT_TRUE(client.is_ok());
+  int sent = 0;
+  while (daemon.server->stats().problem_memo_evictions == 0 && sent < 16) {
+    SolveRequest request;
+    request.problem = nth(sent++);
+    auto response = client.value().solve(request);
+    ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+    ASSERT_TRUE(response.value().status.is_ok()) << response.value().status.to_string();
+  }
+  ASSERT_EQ(daemon.server->stats().problem_memo_evictions, 1u);
+  EXPECT_EQ(daemon.server->stats().problem_memo_misses, static_cast<std::uint64_t>(sent));
+
+  // The oldest entry went first and is rebuilt correctly.
+  SolveRequest oldest;
+  oldest.problem = nth(0);
+  auto rebuilt = client.value().solve(oldest);
+  ASSERT_TRUE(rebuilt.is_ok());
+  expect_matches_local(rebuilt.value(), oldest.problem);
+  EXPECT_EQ(daemon.server->stats().problem_memo_hits, 0u);
+  daemon.server->stop();
+}
+
+TEST(Serve, DagHeaderBombIsRejectedQuickly) {
+  auto daemon = Daemon::start({}, {});
+  const auto problem = make_problem(36, 8, 1.6);
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "bomb");
+  ASSERT_TRUE(client.is_ok());
+
+  // Thirteen bytes claiming two billion tasks: rejected before the daemon
+  // allocates anything for them.
+  SolveRequest bomb;
+  bomb.problem = problem.spec;
+  bomb.problem.dag_text = "dag 2000000000";
+  const auto start = std::chrono::steady_clock::now();
+  auto rejected = client.value().solve(bomb);
+  const double ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_TRUE(rejected.is_ok()) << rejected.status().to_string();
+  EXPECT_EQ(rejected.value().status.code(), common::StatusCode::kInvalidArgument);
+  EXPECT_LT(ms, 100.0);
+
+  // The same connection then serves a valid solve.
+  SolveRequest good;
+  good.problem = problem.spec;
+  auto response = client.value().solve(good);
+  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+  expect_matches_local(response.value(), problem.spec);
   daemon.server->stop();
 }
 
