@@ -2,6 +2,7 @@
 
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -79,6 +80,12 @@ common::Result<Client> Client::connect(const std::string& host, int port,
     ::close(fd);
     return errno_status("connect " + host + ":" + port_str);
   }
+
+  // Requests are small and written whole: without TCP_NODELAY, Nagle
+  // holds a pipelined request behind the previous unacknowledged one
+  // until the daemon's (delayed) ACK, so send() alone does not deliver it.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   Client client;
   client.fd_ = fd;
