@@ -153,16 +153,14 @@ struct BuiltProblem {
 
 /// Rebuilds the problem a ProblemSpec describes, with the mapping
 /// recomputed by the same critical-path list scheduler the CLI uses.
-/// `deadline` overrides the spec's (deadline sweeps anchor the problem at
-/// the axis maximum, mirroring the CLI). Model constructors treat bad
-/// parameters as precondition violations (logic_error); at this trust
-/// boundary the peer's bytes are data, not preconditions, so those throws
-/// degrade into kInvalidArgument responses.
-common::Result<BuiltProblem> build_problem(const ProblemSpec& spec, double deadline) {
+/// Model constructors treat bad parameters as precondition violations
+/// (logic_error); at this trust boundary the peer's bytes are data, not
+/// preconditions, so those throws degrade into kInvalidArgument responses.
+common::Result<BuiltProblem> build_problem(const ProblemSpec& spec) {
   if (spec.processors < 1) {
     return common::Status::invalid("ProblemSpec: processors must be >= 1");
   }
-  if (!(deadline > 0.0)) {
+  if (!(spec.deadline > 0.0)) {
     return common::Status::invalid("ProblemSpec: deadline must be > 0");
   }
   try {
@@ -188,10 +186,10 @@ common::Result<BuiltProblem> build_problem(const ProblemSpec& spec, double deadl
       model::ReliabilityModel rel(spec.lambda0, spec.dexp, speeds.fmin(), speeds.fmax(),
                                   spec.frel);
       built.tricrit = std::make_shared<const core::TriCritProblem>(
-          std::move(dag).take(), mapping, speeds, rel, deadline);
+          std::move(dag).take(), mapping, speeds, rel, spec.deadline);
     } else {
-      built.bicrit = std::make_shared<const core::BiCritProblem>(std::move(dag).take(),
-                                                                 mapping, speeds, deadline);
+      built.bicrit = std::make_shared<const core::BiCritProblem>(
+          std::move(dag).take(), mapping, speeds, spec.deadline);
     }
     return built;
   } catch (const std::exception& e) {
@@ -199,20 +197,41 @@ common::Result<BuiltProblem> build_problem(const ProblemSpec& spec, double deadl
   }
 }
 
-/// Caps on the built-problem memo. Keys are dominated by their DAG text,
-/// and a built problem holds about four times the bytes of the text it
-/// came from, so the byte cap bounds the whole memo to about 80 MiB.
+/// Caps on the built-problem memo: entries, and bytes as memo_charge()
+/// counts them.
 constexpr std::size_t kMemoMaxEntries = 1024;
-constexpr std::size_t kMemoMaxKeyBytes = 16u << 20;
+constexpr std::size_t kMemoMaxBytes = 16u << 20;
+
+/// Heap bytes a built problem holds, estimated from its sizes: these do
+/// not follow the spec's size (a short spec can name millions of
+/// processors, or of incremental speed levels).
+template <class Problem>
+std::size_t problem_bytes(const Problem& p) {
+  constexpr std::size_t kFixed = 512;        // problem, control block, memo nodes
+  constexpr std::size_t kPerTask = 128;      // weight, name, adjacency lists, mapping
+  constexpr std::size_t kPerEdge = 16;       // both adjacency lists, with slack
+  constexpr std::size_t kPerProcessor = 24;  // one (possibly empty) order list
+  constexpr std::size_t kPerLevel = 8;       // one speed level
+  return kFixed + kPerTask * static_cast<std::size_t>(p.dag.num_tasks()) +
+         kPerEdge * static_cast<std::size_t>(p.dag.num_edges()) +
+         kPerProcessor * static_cast<std::size_t>(p.mapping.num_processors()) +
+         kPerLevel * p.speeds.levels().size();
+}
+
+/// What one memo entry counts against kMemoMaxBytes: its key (which holds
+/// the DAG text, task names included) plus its problem's estimated heap.
+std::size_t memo_charge(const std::string& key, const BuiltProblem& built) {
+  return key.size() +
+         (built.bicrit ? problem_bytes(*built.bicrit) : problem_bytes(*built.tricrit));
+}
 
 /// The memo key: every request byte that determines a built problem —
-/// the tenant id, the spec as built and the anchor deadline's bits.
-std::string memo_key(const std::string& tenant, const ProblemSpec& spec, double anchor) {
+/// the tenant id and the spec as built.
+std::string memo_key(const std::string& tenant, const ProblemSpec& spec) {
   std::string key;
   common::ByteWriter w(key);
   w.str<std::uint32_t>(tenant);
   spec.encode(key);
-  w.f64(anchor);
   return key;
 }
 
@@ -220,6 +239,14 @@ struct MemoEntry {
   std::string key;
   std::shared_ptr<Tenant> owner;  ///< charged with the entry's eviction
   BuiltProblem problem;
+  std::size_t charge = 0;  ///< memo_charge(key, problem)
+};
+
+/// A request's problem, from the memo or freshly built. `key` is kept
+/// only for a fresh successful build, for Impl::remember to store.
+struct MemoLookup {
+  common::Result<BuiltProblem> built;
+  std::string key;
 };
 
 }  // namespace
@@ -245,7 +272,7 @@ struct Server::Impl {
   /// whole keys, so a hash collision never makes a hit.
   std::list<MemoEntry> memo;  ///< most recently used first
   std::unordered_map<std::string_view, std::list<MemoEntry>::iterator> memo_index;
-  std::size_t memo_key_bytes = 0;
+  std::size_t memo_bytes = 0;  ///< sum of the entries' charges
 
   ~Impl() { shutdown(); }
 
@@ -279,34 +306,44 @@ struct Server::Impl {
   }
 
   /// build_problem through the memo: a hit skips the DAG parse and the
-  /// list scheduling. Only successful builds are stored, so a rejected
-  /// spec is rebuilt (and rejected) every time.
-  common::Result<BuiltProblem> build_memoized(Conn& conn, const ProblemSpec& spec,
-                                              double anchor) {
+  /// list scheduling. A miss is stored only by remember(), once the
+  /// request is admitted, so neither a rejected spec nor a shed request
+  /// ever enters the memo (or evicts another tenant's entries).
+  MemoLookup build_memoized(Conn& conn, const ProblemSpec& spec) {
     Tenant& tenant = *conn.tenant;
-    std::string key = memo_key(conn.tenant_id, spec, anchor);
+    std::string key = memo_key(conn.tenant_id, spec);
     if (const auto it = memo_index.find(key); it != memo_index.end()) {
       memo.splice(memo.begin(), memo, it->second);
       stats->problem_memo_hits.fetch_add(1, std::memory_order_relaxed);
       if (tenant.m_memo_hits != nullptr) tenant.m_memo_hits->inc();
-      return it->second->problem;
+      return {it->second->problem, {}};
     }
     stats->problem_memo_misses.fetch_add(1, std::memory_order_relaxed);
     if (tenant.m_memo_misses != nullptr) tenant.m_memo_misses->inc();
-    auto built = build_problem(spec, anchor);
-    if (!built.is_ok() || key.size() > kMemoMaxKeyBytes) return built;
-    memo_key_bytes += key.size();
-    memo.push_front(MemoEntry{std::move(key), conn.tenant, built.value()});
+    auto built = build_problem(spec);
+    if (!built.is_ok()) return {std::move(built), {}};
+    return {std::move(built), std::move(key)};
+  }
+
+  /// Stores an admitted request's fresh build, then evicts least recently
+  /// used entries past the caps. A problem that alone exceeds the byte
+  /// cap is not stored.
+  void remember(Conn& conn, MemoLookup& lookup) {
+    if (lookup.key.empty()) return;
+    const std::size_t charge = memo_charge(lookup.key, lookup.built.value());
+    if (charge > kMemoMaxBytes) return;
+    memo_bytes += charge;
+    memo.push_front(
+        MemoEntry{std::move(lookup.key), conn.tenant, lookup.built.value(), charge});
     memo_index.emplace(memo.front().key, memo.begin());
-    while (memo.size() > kMemoMaxEntries || memo_key_bytes > kMemoMaxKeyBytes) {
+    while (memo.size() > kMemoMaxEntries || memo_bytes > kMemoMaxBytes) {
       const MemoEntry& victim = memo.back();
       stats->problem_memo_evictions.fetch_add(1, std::memory_order_relaxed);
       if (victim.owner->m_memo_evictions != nullptr) victim.owner->m_memo_evictions->inc();
-      memo_key_bytes -= victim.key.size();
+      memo_bytes -= victim.charge;
       memo_index.erase(victim.key);
       memo.pop_back();
     }
-    return built;
   }
 
   void enqueue(Conn& conn, MsgType type, const std::string& payload) {
@@ -438,15 +475,17 @@ struct Server::Impl {
     }
     const SolveRequest& msg = decoded.value();
     count_request(conn);
-    auto built = build_memoized(conn, msg.problem, msg.problem.deadline);
-    if (!built.is_ok()) {
+    auto lookup = build_memoized(conn, msg.problem);
+    if (!lookup.built.is_ok()) {
       SolveResponse resp;
       resp.request_id = msg.request_id;
-      resp.status = built.status();
+      resp.status = lookup.built.status();
       enqueue(conn, MsgType::kSolveResponse, resp.encode());
       return;
     }
     if (!admit(conn, msg.request_id, /*is_sweep=*/false)) return;
+    remember(conn, lookup);
+    const BuiltProblem& built = lookup.built.value();
     // Arrival is read only when the latency series exists, so metrics-off
     // daemons skip even the clock call.
     const auto arrival = conn.tenant->m_latency_ms != nullptr
@@ -456,9 +495,8 @@ struct Server::Impl {
     api::SolveOptions options;
     options.cache_namespace = conn.tenant_id;
     engine::SolveQuery query =
-        built.value().bicrit
-            ? engine::SolveQuery(built.value().bicrit, msg.solver, options)
-            : engine::SolveQuery(built.value().tricrit, msg.solver, options);
+        built.bicrit ? engine::SolveQuery(built.bicrit, msg.solver, options)
+                     : engine::SolveQuery(built.tricrit, msg.solver, options);
     auto handle = engine->submit(std::move(query), submit_options(msg.job_deadline_ms));
 
     // The callback runs on the worker that completes the job (or inline
@@ -529,18 +567,19 @@ struct Server::Impl {
     // sweeps keep the spec's fixed deadline and push the axis maximum
     // into the reliability threshold — both mirror the CLI exactly.
     ProblemSpec spec = msg.problem;
-    double anchor = spec.deadline;
     if (reliability) {
       spec.frel = msg.hi;
     } else {
-      anchor = msg.hi;
+      spec.deadline = msg.hi;
     }
-    auto built = build_memoized(conn, spec, anchor);
-    if (!built.is_ok()) {
-      reject(built.status());
+    auto lookup = build_memoized(conn, spec);
+    if (!lookup.built.is_ok()) {
+      reject(lookup.built.status());
       return;
     }
     if (!admit(conn, msg.request_id, /*is_sweep=*/true)) return;
+    remember(conn, lookup);
+    const BuiltProblem& built = lookup.built.value();
     const auto arrival = conn.tenant->m_latency_ms != nullptr
                              ? std::chrono::steady_clock::now()
                              : std::chrono::steady_clock::time_point{};
@@ -553,13 +592,11 @@ struct Server::Impl {
 
     engine::FrontierQuery query =
         reliability
-            ? engine::FrontierQuery::reliability(built.value().tricrit, msg.lo, msg.hi,
-                                                 fopt)
-            : (built.value().bicrit
-                   ? engine::FrontierQuery::deadline(built.value().bicrit, msg.lo,
-                                                     msg.hi, fopt)
-                   : engine::FrontierQuery::deadline(built.value().tricrit, msg.lo,
-                                                     msg.hi, fopt));
+            ? engine::FrontierQuery::reliability(built.tricrit, msg.lo, msg.hi, fopt)
+            : (built.bicrit
+                   ? engine::FrontierQuery::deadline(built.bicrit, msg.lo, msg.hi, fopt)
+                   : engine::FrontierQuery::deadline(built.tricrit, msg.lo, msg.hi,
+                                                     fopt));
 
     engine::Engine::FrontierHandle handle;
     if (!msg.prev_probes.empty()) {

@@ -11,14 +11,18 @@
 //
 // Problem memo: a request's problem (the DAG parse plus the list-scheduled
 // mapping) is built once and memoized under the exact bytes that
-// determine it — tenant id, encoded ProblemSpec as built (a reliability
-// sweep's spec carries frel = hi) and the anchor deadline's bit pattern.
-// A hit needs equality of all of them, never just a hash. The memo is
-// per tenant like everything else (identical bytes from two tenants are
-// two entries), touched only by the loop thread, and bounded by fixed
-// entry and key-byte caps with LRU eviction; rejected specs are never
-// stored. A hit still pays the engine's instance serialisation and digest
-// on the way into the cache.
+// determine it — tenant id and encoded ProblemSpec as built (a deadline
+// sweep's spec carries deadline = hi, a reliability sweep's frel = hi).
+// A hit needs equality of both, never just a hash. The memo is per
+// tenant like everything else (identical bytes from two tenants are two
+// entries), touched only by the loop thread, and bounded by fixed caps
+// with LRU eviction: 1024 entries and 16 MiB, where an entry counts its
+// key plus an estimate of its problem's heap (per task, edge, processor
+// and speed level), so a short spec naming millions of processors is
+// charged what it holds. Only admitted requests store their build:
+// rejected specs and shed requests never enter the memo. A hit still
+// pays the engine's instance serialisation and digest on the way into
+// the cache.
 //
 // Multi-tenancy: every connection handshakes with a tenant id, and the
 // server folds that id into each request's cache namespace

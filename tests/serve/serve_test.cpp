@@ -77,8 +77,8 @@ TestProblem make_problem(std::uint64_t seed, int tasks, double slack) {
 }
 
 /// What the local api answers for `spec` built the way the daemon builds
-/// it: the critical-path list-scheduled mapping and `anchor` as deadline.
-common::Result<api::SolveReport> solve_locally(const ProblemSpec& spec, double anchor) {
+/// it: the critical-path list-scheduled mapping.
+common::Result<api::SolveReport> solve_locally(const ProblemSpec& spec) {
   auto dag = graph::from_text(spec.dag_text);
   if (!dag.is_ok()) return dag.status();
   try {
@@ -100,9 +100,10 @@ common::Result<api::SolveReport> solve_locally(const ProblemSpec& spec, double a
     if (spec.tricrit) {
       const model::ReliabilityModel rel(spec.lambda0, spec.dexp, speeds.fmin(),
                                         speeds.fmax(), spec.frel);
-      return api::solve(core::TriCritProblem(dag.value(), mapping, speeds, rel, anchor));
+      return api::solve(
+          core::TriCritProblem(dag.value(), mapping, speeds, rel, spec.deadline));
     }
-    return api::solve(core::BiCritProblem(dag.value(), mapping, speeds, anchor));
+    return api::solve(core::BiCritProblem(dag.value(), mapping, speeds, spec.deadline));
   } catch (const std::exception& e) {
     return common::Status::invalid(e.what());
   }
@@ -110,7 +111,7 @@ common::Result<api::SolveReport> solve_locally(const ProblemSpec& spec, double a
 
 /// The daemon's answer equals the local one bit for bit (or fails alike).
 void expect_matches_local(const SolveResponse& remote, const ProblemSpec& spec) {
-  const auto local = solve_locally(spec, spec.deadline);
+  const auto local = solve_locally(spec);
   if (!local.is_ok()) {
     EXPECT_EQ(remote.status.code(), local.status().code()) << remote.status.to_string();
     return;
@@ -723,7 +724,7 @@ TEST(Serve, DeadlineAndReliabilitySweepsGetSeparateEntries) {
   EXPECT_EQ(daemon.server->stats().problem_memo_hits, 0u);
 
   // Each sweep hits its own entry and returns the same curve; the sweep
-  // range beyond the anchor is not part of the key.
+  // range below the axis maximum is not part of the key.
   for (std::size_t i = 0; i < 2; ++i) {
     SweepRequest again = i == 0 ? by_deadline : by_reliability;
     again.lo *= 1.1;
@@ -756,7 +757,7 @@ TEST(Serve, DeadlineAndReliabilitySweepsGetSeparateEntries) {
   EXPECT_EQ(daemon.server->stats().problem_memo_hits, 5u);
   EXPECT_EQ(daemon.server->stats().problem_memo_misses, 2u);
 
-  // A deadline sweep to another axis maximum is another anchor.
+  // A deadline sweep to another axis maximum is another problem.
   SweepRequest shorter = by_deadline;
   shorter.hi = spec.deadline * 0.9;
   auto swept = client.value().sweep(shorter);
@@ -892,6 +893,104 @@ TEST(Serve, ProblemMemoKeyByteCapEvicts) {
   ASSERT_TRUE(rebuilt.is_ok());
   expect_matches_local(rebuilt.value(), oldest.problem);
   EXPECT_EQ(daemon.server->stats().problem_memo_hits, 0u);
+  daemon.server->stop();
+}
+
+TEST(Serve, ProblemMemoChargesBuiltFootprint) {
+  auto daemon = Daemon::start({}, {});
+  // Short specs whose built problems are large: the byte cap counts what a
+  // problem holds, not just its key. 360000 processors build about 8.6 MB
+  // of (mostly empty) order lists, so a second such spec evicts the first.
+  ProblemSpec base;
+  base.dag_text = "dag 3\ntask 0 2 a\ntask 1 3 b\ntask 2 1 c\nedge 0 1\nedge 0 2\n";
+  base.processors = 360000;
+  base.deadline = 10.0;
+  ProblemSpec other = base;
+  other.deadline = 11.0;
+  // Twice the processors: a problem that alone exceeds the cap.
+  ProblemSpec oversize = base;
+  oversize.processors = 720000;
+
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "wide-mapping");
+  ASSERT_TRUE(client.is_ok());
+  auto solve = [&](const ProblemSpec& spec) {
+    SolveRequest request;
+    request.problem = spec;
+    auto response = client.value().solve(request);
+    ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+    EXPECT_TRUE(response.value().status.is_ok()) << response.value().status.to_string();
+  };
+  solve(base);
+  EXPECT_EQ(daemon.server->stats().problem_memo_evictions, 0u);
+  solve(other);
+  EXPECT_EQ(daemon.server->stats().problem_memo_evictions, 1u);
+  EXPECT_EQ(memo_counter(*daemon.engine, "evictions", "wide-mapping"), 1u);
+  solve(base);  // evicted, so rebuilt (and now `other` is evicted)
+  EXPECT_EQ(daemon.server->stats().problem_memo_misses, 3u);
+  EXPECT_EQ(daemon.server->stats().problem_memo_evictions, 2u);
+
+  // The oversize problem is never stored, so it evicts nothing.
+  solve(oversize);
+  solve(oversize);
+  const ServerStats stats = daemon.server->stats();
+  EXPECT_EQ(stats.problem_memo_misses, 5u);
+  EXPECT_EQ(stats.problem_memo_hits, 0u);
+  EXPECT_EQ(stats.problem_memo_evictions, 2u);
+  solve(base);
+  EXPECT_EQ(daemon.server->stats().problem_memo_hits, 1u);
+  daemon.server->stop();
+}
+
+TEST(Serve, ShedRequestIsNotMemoized) {
+  engine::EngineConfig econfig;
+  econfig.threads = 1;  // one worker: the sweep holds the tenant's only slot
+  ServerConfig sconfig;
+  sconfig.tenant_quota = 1;
+  auto daemon = Daemon::start(std::move(econfig), std::move(sconfig));
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "busy");
+  ASSERT_TRUE(client.is_ok());
+
+  // A slow sweep pipelined ahead of a solve of a new spec sheds the solve.
+  // Retried with fresh problems should the sweep finish first.
+  ProblemSpec shed_spec;
+  for (int attempt = 0; attempt < 4 && shed_spec.dag_text.empty(); ++attempt) {
+    const auto slow = make_problem(40 + attempt, 16, 1.7);
+    const auto quick = make_problem(50 + attempt, 8, 1.6);
+    SweepRequest sweep;
+    sweep.request_id = client.value().next_request_id();
+    sweep.problem = slow.spec;
+    sweep.axis = WireAxis::kDeadline;
+    sweep.lo = slow.spec.deadline * 0.5;
+    sweep.hi = slow.spec.deadline;
+    sweep.initial_points = 9;
+    sweep.max_points = 33;
+    ASSERT_TRUE(client.value().send(sweep).is_ok());
+    SolveRequest request;
+    request.request_id = client.value().next_request_id();
+    request.problem = quick.spec;
+    ASSERT_TRUE(client.value().send(request).is_ok());
+    auto response = client.value().wait_solve(request.request_id);
+    ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+    if (response.value().status.code() == common::StatusCode::kOverloaded) {
+      shed_spec = quick.spec;
+    }
+    ASSERT_TRUE(client.value().wait_sweep(sweep.request_id).is_ok());
+  }
+  ASSERT_FALSE(shed_spec.dag_text.empty()) << "no solve was shed";
+
+  // The shed solve built its problem but did not store it: admitted now,
+  // the same spec misses once and then hits.
+  const ServerStats before = daemon.server->stats();
+  SolveRequest request;
+  request.problem = shed_spec;
+  for (int i = 0; i < 2; ++i) {
+    auto response = client.value().solve(request);
+    ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+    expect_matches_local(response.value(), shed_spec);
+  }
+  const ServerStats after = daemon.server->stats();
+  EXPECT_EQ(after.problem_memo_misses, before.problem_memo_misses + 1);
+  EXPECT_EQ(after.problem_memo_hits, before.problem_memo_hits + 1);
   daemon.server->stop();
 }
 
