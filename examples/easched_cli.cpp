@@ -7,6 +7,12 @@
 // can be requested by name, and with no --solver the registry
 // auto-selects by capability.
 //
+// Every verb, local or remote, names its instance one way: the flags fill
+// a serve::ProblemSpec and serve::build_problem builds it (sweeps through
+// serve::build_sweep, which also checks the range and grid) — in this
+// process for a local verb, in the daemon for `remote`. --slack is
+// applied once, right after parsing, to --deadline, --dmin and --dmax.
+//
 // Usage:
 //   easched_cli <dag-file>... --deadline D [options]
 //     Solves each file; with several files the whole set runs as one
@@ -107,8 +113,8 @@
 //   --frel F              enable TRI-CRIT with threshold speed F
 //   --lambda0 L --dexp D  reliability parameters (default 1e-5 / 3)
 //   --solver NAME         registry solver name (default: auto-select)
-//   --slack S             deadline-slack policy (scales --deadline, and in
-//                         frontier mode the --dmin/--dmax axis; default 1)
+//   --slack S             deadline-slack policy: scales --deadline, --dmin
+//                         and --dmax in every verb (default 1)
 //   --threads N           engine worker-pool size (batch, jobs and sweeps)
 //   --jobs                solve mode: one async engine job per file
 //   --list-solvers        print the registry and exit
@@ -132,6 +138,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -144,11 +151,9 @@
 #include "frontier/compare.hpp"
 #include "frontier/export.hpp"
 #include "frontier/frontier.hpp"
-#include "graph/io.hpp"
 #include "model/ladder.hpp"
 #include "obs/export.hpp"
 #include "sched/gantt.hpp"
-#include "sched/list_scheduler.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -242,7 +247,6 @@ struct CliArgs {
   bool no_metrics = false;  // disable the engine's metric registry
   bool deep = false;        // remote stat: also scrape the metric registry
   std::string trace_out;    // Chrome trace_event JSON destination
-  api::SolveOptions options;
   // serve / remote mode
   std::string listen;              // host:port the daemon binds
   std::string tenant = "default";  // remote: cache/store isolation namespace
@@ -263,7 +267,10 @@ struct CliArgs {
 };
 
 /// Parses argv[first..); returns false (after printing) on a bad flag.
+/// --slack is applied here, once: it scales --deadline, --dmin and --dmax,
+/// so every verb sees the effective deadlines.
 bool parse_args(int argc, char** argv, int first, CliArgs& args) {
+  double slack = 1.0;
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -273,178 +280,236 @@ bool parse_args(int argc, char** argv, int first, CliArgs& args) {
       }
       return argv[++i];
     };
-    if (arg == "--deadline") {
-      args.deadline = std::stod(next());
-    } else if (arg == "--processors") {
-      args.processors = std::stoi(next());
-    } else if (arg == "--fmin") {
-      args.fmin = std::stod(next());
-    } else if (arg == "--fmax") {
-      args.fmax = std::stod(next());
-    } else if (arg == "--levels") {
-      args.levels = parse_levels(next());
-    } else if (arg == "--vdd") {
-      args.vdd = true;
-    } else if (arg == "--frel") {
-      args.frel = std::stod(next());
-    } else if (arg == "--lambda0") {
-      args.lambda0 = std::stod(next());
-    } else if (arg == "--dexp") {
-      args.dexp = std::stod(next());
-    } else if (arg == "--solver") {
-      args.solver_name = next();
-    } else if (arg == "--solvers") {
-      args.solvers = parse_names(next());
-    } else if (arg == "--slack") {
-      args.options.deadline_slack = std::stod(next());
-    } else if (arg == "--threads") {
-      const int n = std::stoi(next());
-      if (n < 1) {
-        std::cerr << "--threads must be >= 1\n";
+    // A non-negative size (0 = unbounded); false after printing if negative.
+    auto read_size = [&](std::size_t& out) {
+      const long long value = std::stoll(next());
+      if (value < 0) {
+        std::cerr << arg << " must be >= 0\n";
         return false;
       }
-      args.threads = static_cast<std::size_t>(n);
-    } else if (arg == "--dmin") {
-      args.dmin = std::stod(next());
-    } else if (arg == "--dmax") {
-      args.dmax = std::stod(next());
-    } else if (arg == "--rmin") {
-      args.rmin = std::stod(next());
-    } else if (arg == "--rmax") {
-      args.rmax = std::stod(next());
-    } else if (arg == "--points") {
-      args.points = std::stoi(next());
-    } else if (arg == "--max-points") {
-      args.max_points = std::stoi(next());
-    } else if (arg == "--cache-cap") {
-      const long long cap = std::stoll(next());
-      if (cap < 0) {
-        std::cerr << "--cache-cap must be >= 0\n";
+      out = static_cast<std::size_t>(value);
+      return true;
+    };
+    try {
+      if (arg == "--deadline") {
+        args.deadline = std::stod(next());
+      } else if (arg == "--processors") {
+        args.processors = std::stoi(next());
+      } else if (arg == "--fmin") {
+        args.fmin = std::stod(next());
+      } else if (arg == "--fmax") {
+        args.fmax = std::stod(next());
+      } else if (arg == "--levels") {
+        args.levels = parse_levels(next());
+      } else if (arg == "--vdd") {
+        args.vdd = true;
+      } else if (arg == "--frel") {
+        args.frel = std::stod(next());
+      } else if (arg == "--lambda0") {
+        args.lambda0 = std::stod(next());
+      } else if (arg == "--dexp") {
+        args.dexp = std::stod(next());
+      } else if (arg == "--solver") {
+        args.solver_name = next();
+      } else if (arg == "--solvers") {
+        args.solvers = parse_names(next());
+      } else if (arg == "--slack") {
+        slack = std::stod(next());
+      } else if (arg == "--threads") {
+        const int n = std::stoi(next());
+        if (n < 1) {
+          std::cerr << "--threads must be >= 1\n";
+          return false;
+        }
+        args.threads = static_cast<std::size_t>(n);
+      } else if (arg == "--dmin") {
+        args.dmin = std::stod(next());
+      } else if (arg == "--dmax") {
+        args.dmax = std::stod(next());
+      } else if (arg == "--rmin") {
+        args.rmin = std::stod(next());
+      } else if (arg == "--rmax") {
+        args.rmax = std::stod(next());
+      } else if (arg == "--points") {
+        args.points = std::stoi(next());
+      } else if (arg == "--max-points") {
+        args.max_points = std::stoi(next());
+      } else if (arg == "--cache-cap") {
+        if (!read_size(args.cache_cap)) return false;
+      } else if (arg == "--cache-cap-bytes") {
+        if (!read_size(args.cache_cap_bytes)) return false;
+      } else if (arg == "--store") {
+        args.store_path = next();
+      } else if (arg == "--store-mode") {
+        args.store_mode = next();
+        if (args.store_mode != "both" && args.store_mode != "write-through" &&
+            args.store_mode != "load-on-open") {
+          std::cerr << "--store-mode must be both, write-through or load-on-open\n";
+          return false;
+        }
+      } else if (arg == "--warm-start") {
+        args.warm_start = true;
+      } else if (arg == "--cache-stats-out") {
+        args.cache_stats_out = next();
+      } else if (arg == "--no-metrics") {
+        args.no_metrics = true;
+      } else if (arg == "--trace-out") {
+        args.trace_out = next();
+      } else if (arg == "--deep") {
+        args.deep = true;
+      } else if (arg == "--listen") {
+        args.listen = next();
+      } else if (arg == "--tenant") {
+        args.tenant = next();
+      } else if (arg == "--max-queued") {
+        if (!read_size(args.max_queued)) return false;
+      } else if (arg == "--tenant-quota") {
+        if (!read_size(args.tenant_quota)) return false;
+      } else if (arg == "--job-deadline-ms") {
+        args.job_deadline_ms = std::stod(next());
+      } else if (arg == "--seed") {
+        args.sim_seed = std::stoull(next());
+      } else if (arg == "--streams") {
+        args.streams = std::stoi(next());
+        if (args.streams < 1) {
+          std::cerr << "--streams must be >= 1\n";
+          return false;
+        }
+      } else if (arg == "--horizon") {
+        args.horizon = std::stod(next());
+        if (args.horizon <= 0.0) {
+          std::cerr << "--horizon must be positive\n";
+          return false;
+        }
+      } else if (arg == "--policies") {
+        args.policies = next();
+      } else if (arg == "--periodic") {
+        args.periodic = true;
+      } else if (arg == "--ladder") {
+        args.ladder = true;
+      } else if (arg == "--static-power") {
+        args.static_power = std::stod(next());
+        if (args.static_power < 0.0) {
+          std::cerr << "--static-power must be >= 0\n";
+          return false;
+        }
+      } else if (arg == "--wake-energy") {
+        args.wake_energy = std::stod(next());
+        if (args.wake_energy < 0.0) {
+          std::cerr << "--wake-energy must be >= 0\n";
+          return false;
+        }
+      } else if (arg == "--out") {
+        args.sim_out = next();
+      } else if (arg == "--simulate") {
+        args.simulate = true;
+      } else if (arg == "--resweep") {
+        args.resweep = true;
+      } else if (arg == "--jobs") {
+        args.jobs = true;
+      } else if (arg == "--stream") {
+        args.stream = true;
+      } else if (arg == "--list-solvers") {
+        std::exit(list_solvers());
+      } else if (arg == "--gantt") {
+        args.gantt = true;
+      } else if (arg == "--csv") {
+        args.csv = true;
+      } else if (arg == "--json") {
+        args.json = true;
+      } else if (arg.rfind("--", 0) == 0) {
+        std::cerr << "unknown option " << arg << "\n";
         return false;
+      } else {
+        args.dag_paths.push_back(arg);
       }
-      args.cache_cap = static_cast<std::size_t>(cap);
-    } else if (arg == "--cache-cap-bytes") {
-      const long long cap = std::stoll(next());
-      if (cap < 0) {
-        std::cerr << "--cache-cap-bytes must be >= 0\n";
-        return false;
-      }
-      args.cache_cap_bytes = static_cast<std::size_t>(cap);
-    } else if (arg == "--store") {
-      args.store_path = next();
-    } else if (arg == "--store-mode") {
-      args.store_mode = next();
-      if (args.store_mode != "both" && args.store_mode != "write-through" &&
-          args.store_mode != "load-on-open") {
-        std::cerr << "--store-mode must be both, write-through or load-on-open\n";
-        return false;
-      }
-    } else if (arg == "--warm-start") {
-      args.warm_start = true;
-    } else if (arg == "--cache-stats-out") {
-      args.cache_stats_out = next();
-    } else if (arg == "--no-metrics") {
-      args.no_metrics = true;
-    } else if (arg == "--trace-out") {
-      args.trace_out = next();
-    } else if (arg == "--deep") {
-      args.deep = true;
-    } else if (arg == "--listen") {
-      args.listen = next();
-    } else if (arg == "--tenant") {
-      args.tenant = next();
-    } else if (arg == "--max-queued") {
-      const long long cap = std::stoll(next());
-      if (cap < 0) {
-        std::cerr << "--max-queued must be >= 0\n";
-        return false;
-      }
-      args.max_queued = static_cast<std::size_t>(cap);
-    } else if (arg == "--tenant-quota") {
-      const long long cap = std::stoll(next());
-      if (cap < 0) {
-        std::cerr << "--tenant-quota must be >= 0\n";
-        return false;
-      }
-      args.tenant_quota = static_cast<std::size_t>(cap);
-    } else if (arg == "--job-deadline-ms") {
-      args.job_deadline_ms = std::stod(next());
-    } else if (arg == "--seed") {
-      args.sim_seed = std::stoull(next());
-    } else if (arg == "--streams") {
-      args.streams = std::stoi(next());
-      if (args.streams < 1) {
-        std::cerr << "--streams must be >= 1\n";
-        return false;
-      }
-    } else if (arg == "--horizon") {
-      args.horizon = std::stod(next());
-      if (args.horizon <= 0.0) {
-        std::cerr << "--horizon must be positive\n";
-        return false;
-      }
-    } else if (arg == "--policies") {
-      args.policies = next();
-    } else if (arg == "--periodic") {
-      args.periodic = true;
-    } else if (arg == "--ladder") {
-      args.ladder = true;
-    } else if (arg == "--static-power") {
-      args.static_power = std::stod(next());
-      if (args.static_power < 0.0) {
-        std::cerr << "--static-power must be >= 0\n";
-        return false;
-      }
-    } else if (arg == "--wake-energy") {
-      args.wake_energy = std::stod(next());
-      if (args.wake_energy < 0.0) {
-        std::cerr << "--wake-energy must be >= 0\n";
-        return false;
-      }
-    } else if (arg == "--out") {
-      args.sim_out = next();
-    } else if (arg == "--simulate") {
-      args.simulate = true;
-    } else if (arg == "--resweep") {
-      args.resweep = true;
-    } else if (arg == "--jobs") {
-      args.jobs = true;
-    } else if (arg == "--stream") {
-      args.stream = true;
-    } else if (arg == "--list-solvers") {
-      std::exit(list_solvers());
-    } else if (arg == "--gantt") {
-      args.gantt = true;
-    } else if (arg == "--csv") {
-      args.csv = true;
-    } else if (arg == "--json") {
-      args.json = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "unknown option " << arg << "\n";
+    } catch (const std::logic_error&) {
+      // std::stod and friends throw on a malformed or out-of-range number.
+      std::cerr << "bad value for " << arg << ": '" << argv[i] << "'\n";
       return false;
-    } else {
-      args.dag_paths.push_back(arg);
     }
   }
+  if (!(slack > 0.0)) {
+    std::cerr << "--slack must be positive\n";
+    return false;
+  }
+  args.deadline *= slack;
+  if (args.dmin) *args.dmin *= slack;
+  if (args.dmax) *args.dmax *= slack;
   return true;
 }
 
-common::Result<graph::Dag> load_dag(const std::string& path) {
+common::Result<std::string> read_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) return common::Status::not_found("cannot open " + path);
-  return graph::read_text(in);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
-model::SpeedModel make_speeds(CliArgs& args) {
-  model::SpeedModel speeds =
-      args.levels ? (args.vdd ? model::SpeedModel::vdd_hopping(*args.levels)
-                              : model::SpeedModel::discrete(*args.levels))
-                  : model::SpeedModel::continuous(args.fmin, args.fmax);
+/// The problem the shared flags describe over a dag file's text, at
+/// `deadline`: built locally or shipped to a daemon, one spec either way.
+serve::ProblemSpec make_problem_spec(const CliArgs& args, std::string dag_text,
+                                     double deadline) {
+  serve::ProblemSpec spec;
+  spec.dag_text = std::move(dag_text);
+  spec.processors = args.processors;
   if (args.levels) {
-    args.fmin = speeds.fmin();
-    args.fmax = speeds.fmax();
+    spec.speed_kind = args.vdd ? model::SpeedModelKind::kVddHopping
+                               : model::SpeedModelKind::kDiscrete;
+    spec.levels = *args.levels;
+  } else {
+    spec.speed_kind = model::SpeedModelKind::kContinuous;
+    spec.fmin = args.fmin;
+    spec.fmax = args.fmax;
   }
-  return speeds;
+  spec.deadline = deadline;
+  spec.tricrit = args.frel.has_value();
+  spec.lambda0 = args.lambda0;
+  spec.dexp = args.dexp;
+  spec.frel = args.frel.value_or(0.0);
+  return spec;
+}
+
+/// Reads a dag file and builds its problem at --deadline through
+/// serve::build_problem, exactly as the daemon builds a remote solve's.
+common::Result<serve::BuiltProblem> load_problem(const CliArgs& args,
+                                                 const std::string& path) {
+  auto text = read_file(path);
+  if (!text.is_ok()) return text.status();
+  return serve::build_problem(make_problem_spec(args, std::move(text).take(), args.deadline));
+}
+
+/// The sweep the flags describe over a dag file's text: the deadline axis
+/// over [--dmin, --dmax], or the reliability axis over [--rmin, --rmax] at
+/// a fixed --deadline (TRI-CRIT, with or without --frel). Local `frontier`
+/// and `remote sweep` both check and build it with serve::build_sweep.
+common::Result<serve::SweepRequest> make_sweep_request(const CliArgs& args,
+                                                       std::string dag_text) {
+  serve::SweepRequest request;
+  if (args.rmin && args.rmax) {
+    if (args.deadline <= 0.0) {
+      return common::Status::invalid("--rmin/--rmax sweeps need a fixed --deadline");
+    }
+    request.axis = serve::WireAxis::kReliability;
+    request.lo = *args.rmin;
+    request.hi = *args.rmax;
+    request.problem = make_problem_spec(args, std::move(dag_text), args.deadline);
+    request.problem.tricrit = true;
+  } else if (args.dmin && args.dmax) {
+    request.axis = serve::WireAxis::kDeadline;
+    request.lo = *args.dmin;
+    request.hi = *args.dmax;
+    request.problem = make_problem_spec(args, std::move(dag_text), request.hi);
+  } else {
+    return common::Status::invalid(
+        "sweeps need --dmin/--dmax or --deadline with --rmin/--rmax");
+  }
+  request.initial_points = args.points;
+  request.max_points = args.max_points;
+  request.solver = args.solver_name;
+  request.job_deadline_ms = args.job_deadline_ms;
+  return request;
 }
 
 /// One engine per invocation: the declarative EngineConfig replaces the
@@ -593,7 +658,23 @@ int emit_comparison(const frontier::FrontierComparison& comparison,
   return 0;
 }
 
-int run_frontier(CliArgs& args) {
+/// --solvers: every named solver swept over the query's axis, range and
+/// problem.
+frontier::FrontierComparison compare(const engine::Engine& eng,
+                                     const engine::FrontierQuery& query,
+                                     const std::vector<std::string>& solvers) {
+  const frontier::FrontierEngine& sweeper = eng.sweeper();
+  if (query.axis == frontier::ConstraintAxis::kReliability) {
+    return frontier::compare_reliability(sweeper, *query.tricrit, solvers, query.lo,
+                                         query.hi, query.options);
+  }
+  return query.bicrit ? frontier::compare_deadline(sweeper, *query.bicrit, solvers,
+                                                   query.lo, query.hi, query.options)
+                      : frontier::compare_deadline(sweeper, *query.tricrit, solvers,
+                                                   query.lo, query.hi, query.options);
+}
+
+int run_frontier(const CliArgs& args) {
   // --resweep takes the old and the changed instance; plain sweeps one.
   const std::size_t expected_files = args.resweep ? 2 : 1;
   if (args.dag_paths.size() != expected_files) {
@@ -606,34 +687,29 @@ int run_frontier(CliArgs& args) {
     std::cerr << "--resweep and --solvers cannot be combined\n";
     return 2;
   }
-  auto dag = load_dag(args.dag_paths[0]);
-  if (!dag.is_ok()) {
-    std::cerr << "bad dag file: " << dag.status().to_string() << "\n";
-    return 1;
-  }
-  const auto mapping = sched::list_schedule(dag.value(), args.processors,
-                                            sched::PriorityPolicy::kCriticalPath);
-  std::optional<graph::Dag> new_dag;
-  std::optional<sched::Mapping> new_mapping;
-  if (args.resweep) {
-    auto loaded = load_dag(args.dag_paths[1]);
-    if (!loaded.is_ok()) {
-      std::cerr << "bad dag file: " << loaded.status().to_string() << "\n";
+  // Every instance is checked and built, exactly as the daemon builds a
+  // remote sweep's, before the engine exists.
+  serve::SweepRequest request;
+  std::vector<serve::BuiltProblem> problems;
+  for (const auto& path : args.dag_paths) {
+    auto text = read_file(path);
+    if (!text.is_ok()) {
+      std::cerr << path << ": " << text.status().to_string() << "\n";
       return 1;
     }
-    new_dag = std::move(loaded).take();
-    new_mapping = sched::list_schedule(*new_dag, args.processors,
-                                       sched::PriorityPolicy::kCriticalPath);
+    auto made = make_sweep_request(args, std::move(text).take());
+    if (!made.is_ok()) {
+      std::cerr << "frontier mode: " << made.status().message() << "\n";
+      return 2;
+    }
+    request = std::move(made).take();
+    auto built = serve::build_sweep(request);
+    if (!built.is_ok()) {
+      std::cerr << path << ": " << built.status().to_string() << "\n";
+      return 1;
+    }
+    problems.push_back(std::move(built).take());
   }
-  const model::SpeedModel speeds = make_speeds(args);
-
-  // Fold the slack policy into the swept quantities up front, exactly as
-  // the solve path does: it scales the fixed deadline of a reliability
-  // sweep and the [dmin, dmax] axis of a deadline sweep, so the flag
-  // means "scale D" in every mode.
-  const double slack = args.options.deadline_slack;
-  args.options.deadline_slack = 1.0;
-  const double deadline = args.deadline * slack;
 
   // The engine owns the cache, the optional store and the worker pool —
   // the plumbing this mode used to assemble by hand.
@@ -669,133 +745,36 @@ int run_frontier(CliArgs& args) {
   sample_stats("open");
 
   frontier::FrontierOptions fopt;
-  fopt.initial_points = args.points;
-  fopt.max_points = args.max_points;
   fopt.threads = args.threads;  // comparisons sweep via sweeper() directly
-  fopt.solver = args.solver_name;
-  fopt.solve = args.options;
-  const auto streamer = make_streamer(args);
+  const auto query = [&](const serve::BuiltProblem& problem) {
+    return serve::sweep_query(request, problem, fopt);
+  };
 
   // Single sweeps and resweeps go through the asynchronous submit path
   // (with the --stream observer attached); comparisons use the internal
   // sweeper, which shares the same cache/store.
-  auto submit_sweep = [&](engine::FrontierQuery query) {
-    query.observer = streamer;
-    return eng.submit(std::move(query)).get();
-  };
-
-  // In resweep mode, sweep the old instance first and report the changed
-  // instance's curve (bit-identical to its cold sweep) warm-started from
-  // the old one.
-  auto note_prev = [&](const frontier::FrontierResult& prev) {
+  const int rc = [&]() -> int {
+    if (!args.solvers.empty()) {
+      return emit_comparison(compare(eng, query(problems.front()), args.solvers), args);
+    }
+    engine::FrontierQuery target = query(problems.back());
+    target.observer = make_streamer(args);
+    if (!args.resweep) return emit_frontier(eng.submit(std::move(target)).get(), args);
+    // Sweep the old instance first and report the changed instance's
+    // curve (bit-identical to its cold sweep) warm-started from the old
+    // one.
+    engine::ResweepQuery resweep;
+    resweep.prev = eng.sweep(query(problems.front()));
     sample_stats("sweep-old");
     if (!args.csv && !args.json) {
       std::cout << "old instance '" << args.dag_paths[0] << "': "
-                << prev.points.size() << " frontier points from " << prev.evaluated
-                << " evaluations in " << common::format_fixed(prev.wall_ms, 1)
-                << " ms; resweeping '" << args.dag_paths[1] << "'\n\n";
+                << resweep.prev.points.size() << " frontier points from "
+                << resweep.prev.evaluated << " evaluations in "
+                << common::format_fixed(resweep.prev.wall_ms, 1) << " ms; resweeping '"
+                << args.dag_paths[1] << "'\n\n";
     }
-  };
-  auto submit_resweep = [&](frontier::FrontierResult prev, engine::FrontierQuery target) {
-    note_prev(prev);
-    engine::ResweepQuery query;
-    query.prev = std::move(prev);
-    query.target = std::move(target);
-    query.target.observer = streamer;
-    return eng.submit(std::move(query)).get();
-  };
-
-  // The mode dispatch below returns from many points; run it inside a
-  // lambda so the telemetry/store epilogue runs exactly once either way.
-  const int rc = [&]() -> int {
-  const bool reliability_mode = args.rmin && args.rmax;
-  if (reliability_mode) {
-    if (deadline <= 0.0) {
-      std::cerr << "--rmin/--rmax sweeps need a fixed --deadline\n";
-      return 2;
-    }
-    if (*args.rmin < args.fmin || *args.rmax > args.fmax || *args.rmin > *args.rmax) {
-      std::cerr << "--rmin/--rmax must satisfy fmin <= rmin <= rmax <= fmax\n";
-      return 2;
-    }
-    model::ReliabilityModel rel(args.lambda0, args.dexp, args.fmin, args.fmax,
-                                *args.rmax);
-    const auto problem = std::make_shared<const core::TriCritProblem>(
-        dag.value(), mapping, speeds, rel, deadline);
-    if (!args.solvers.empty()) {
-      return emit_comparison(
-          frontier::compare_reliability(eng.sweeper(), *problem, args.solvers,
-                                        *args.rmin, *args.rmax, fopt),
-          args);
-    }
-    if (args.resweep) {
-      auto prev = eng.sweep(
-          engine::FrontierQuery::reliability(problem, *args.rmin, *args.rmax, fopt));
-      const auto changed = std::make_shared<const core::TriCritProblem>(
-          *new_dag, *new_mapping, speeds, rel, deadline);
-      return emit_frontier(
-          submit_resweep(std::move(prev), engine::FrontierQuery::reliability(
-                                              changed, *args.rmin, *args.rmax, fopt)),
-          args);
-    }
-    return emit_frontier(submit_sweep(engine::FrontierQuery::reliability(
-                             problem, *args.rmin, *args.rmax, fopt)),
-                         args);
-  }
-
-  if (!args.dmin || !args.dmax || *args.dmin <= 0.0 || *args.dmin > *args.dmax) {
-    std::cerr << "frontier mode needs --dmin/--dmax (0 < dmin <= dmax) or "
-                 "--deadline with --rmin/--rmax\n";
-    return 2;
-  }
-  const double dmin = *args.dmin * slack;
-  const double dmax = *args.dmax * slack;
-  if (args.frel) {
-    // TRI-CRIT deadline sweep: the reliability threshold stays fixed at
-    // --frel while the deadline axis is swept.
-    if (*args.frel < args.fmin || *args.frel > args.fmax) {
-      std::cerr << "--frel must lie in [fmin, fmax]\n";
-      return 2;
-    }
-    model::ReliabilityModel rel(args.lambda0, args.dexp, args.fmin, args.fmax,
-                                *args.frel);
-    const auto problem = std::make_shared<const core::TriCritProblem>(
-        dag.value(), mapping, speeds, rel, dmax);
-    if (!args.solvers.empty()) {
-      return emit_comparison(frontier::compare_deadline(eng.sweeper(), *problem,
-                                                        args.solvers, dmin, dmax, fopt),
-                             args);
-    }
-    if (args.resweep) {
-      auto prev = eng.sweep(engine::FrontierQuery::deadline(problem, dmin, dmax, fopt));
-      const auto changed = std::make_shared<const core::TriCritProblem>(
-          *new_dag, *new_mapping, speeds, rel, dmax);
-      return emit_frontier(
-          submit_resweep(std::move(prev),
-                         engine::FrontierQuery::deadline(changed, dmin, dmax, fopt)),
-          args);
-    }
-    return emit_frontier(
-        submit_sweep(engine::FrontierQuery::deadline(problem, dmin, dmax, fopt)), args);
-  }
-  const auto problem =
-      std::make_shared<const core::BiCritProblem>(dag.value(), mapping, speeds, dmax);
-  if (!args.solvers.empty()) {
-    return emit_comparison(frontier::compare_deadline(eng.sweeper(), *problem,
-                                                      args.solvers, dmin, dmax, fopt),
-                           args);
-  }
-  if (args.resweep) {
-    auto prev = eng.sweep(engine::FrontierQuery::deadline(problem, dmin, dmax, fopt));
-    const auto changed = std::make_shared<const core::BiCritProblem>(
-        *new_dag, *new_mapping, speeds, dmax);
-    return emit_frontier(
-        submit_resweep(std::move(prev),
-                       engine::FrontierQuery::deadline(changed, dmin, dmax, fopt)),
-        args);
-  }
-  return emit_frontier(
-      submit_sweep(engine::FrontierQuery::deadline(problem, dmin, dmax, fopt)), args);
+    resweep.target = std::move(target);
+    return emit_frontier(eng.submit(std::move(resweep)).get(), args);
   }();
 
   // Epilogue, on every dispatch path: final telemetry snapshot, stats
@@ -887,28 +866,18 @@ int run_store(int argc, char** argv) {
 /// Several dag files: one engine batch query on the worker pool, or —
 /// with --jobs — one asynchronous engine job per file (the submit path:
 /// every file gets its own JobHandle and the table joins the futures).
-int run_batch(CliArgs& args, double effective_deadline) {
+int run_batch(const CliArgs& args) {
   std::vector<api::BatchJob> jobs;
   for (const auto& path : args.dag_paths) {
-    auto dag = load_dag(path);
-    if (!dag.is_ok()) {
-      std::cerr << "bad dag file " << path << ": " << dag.status().to_string() << "\n";
+    auto built = load_problem(args, path);
+    if (!built.is_ok()) {
+      std::cerr << path << ": " << built.status().to_string() << "\n";
       return 1;
     }
-    const auto mapping = sched::list_schedule(dag.value(), args.processors,
-                                              sched::PriorityPolicy::kCriticalPath);
-    const model::SpeedModel speeds = make_speeds(args);
     api::BatchJob job;
     job.family = path;
-    if (args.frel) {
-      model::ReliabilityModel rel(args.lambda0, args.dexp, args.fmin, args.fmax,
-                                  *args.frel);
-      job.tricrit = std::make_shared<const core::TriCritProblem>(
-          std::move(dag).take(), mapping, speeds, rel, effective_deadline);
-    } else {
-      job.bicrit = std::make_shared<const core::BiCritProblem>(
-          std::move(dag).take(), mapping, speeds, effective_deadline);
-    }
+    job.bicrit = built.value().bicrit;
+    job.tricrit = built.value().tricrit;
     jobs.push_back(std::move(job));
   }
 
@@ -925,10 +894,9 @@ int run_batch(CliArgs& args, double effective_deadline) {
     std::vector<engine::Engine::SolveHandle> handles;
     handles.reserve(jobs.size());
     for (const auto& job : jobs) {
-      handles.push_back(eng.submit(
-          job.bicrit != nullptr
-              ? engine::SolveQuery(job.bicrit, args.solver_name, args.options)
-              : engine::SolveQuery(job.tricrit, args.solver_name, args.options)));
+      handles.push_back(eng.submit(job.bicrit != nullptr
+                                       ? engine::SolveQuery(job.bicrit, args.solver_name)
+                                       : engine::SolveQuery(job.tricrit, args.solver_name)));
     }
     std::vector<common::Result<api::SolveReport>> results;
     results.reserve(handles.size());
@@ -938,7 +906,7 @@ int run_batch(CliArgs& args, double effective_deadline) {
                          std::chrono::steady_clock::now() - start)
                          .count();
   } else {
-    report = eng.solve_batch(jobs, args.solver_name, args.options);
+    report = eng.solve_batch(jobs, args.solver_name);
   }
 
   common::Table table({"file", "status", "solver", "energy", "makespan", "wall_ms"});
@@ -964,25 +932,15 @@ int run_batch(CliArgs& args, double effective_deadline) {
   return report.failed == 0 ? 0 : 1;
 }
 
-int run_solve(CliArgs& args) {
+int run_solve(const CliArgs& args) {
   if (args.dag_paths.empty() || args.deadline <= 0.0) return 2;
+  if (args.dag_paths.size() > 1) return run_batch(args);
 
-  // Fold the slack policy into the problem once: solver and feasibility
-  // check then agree on the same effective deadline, and the request can
-  // keep the default slack of 1.
-  const double effective_deadline = args.deadline * args.options.deadline_slack;
-  args.options.deadline_slack = 1.0;
-
-  if (args.dag_paths.size() > 1) return run_batch(args, effective_deadline);
-
-  auto dag = load_dag(args.dag_paths[0]);
-  if (!dag.is_ok()) {
-    std::cerr << "bad dag file: " << dag.status().to_string() << "\n";
+  auto built = load_problem(args, args.dag_paths[0]);
+  if (!built.is_ok()) {
+    std::cerr << args.dag_paths[0] << ": " << built.status().to_string() << "\n";
     return 1;
   }
-  const auto mapping = sched::list_schedule(dag.value(), args.processors,
-                                            sched::PriorityPolicy::kCriticalPath);
-  const model::SpeedModel speeds = make_speeds(args);
 
   // One solve still goes through the façade: the engine is cheap to
   // construct and the call shape matches every other mode.
@@ -993,55 +951,49 @@ int run_solve(CliArgs& args) {
   }
   engine::Engine& eng = created.value();
 
-  common::Result<api::SolveReport> result = common::Status::internal("unsolved");
-  if (args.frel) {
-    model::ReliabilityModel rel(args.lambda0, args.dexp, args.fmin, args.fmax,
-                                *args.frel);
-    core::TriCritProblem p(dag.value(), mapping, speeds, rel, effective_deadline);
-    result = eng.solve(p, args.solver_name, args.options);
-    if (result.is_ok() && !p.check(result.value().schedule).is_ok()) {
+  return built.value().visit([&](const auto& problem) {
+    const auto result = eng.solve(problem, args.solver_name);
+    if (!result.is_ok()) {
+      std::cerr << "solve failed: " << result.status().to_string() << "\n";
+      return 1;
+    }
+    const api::SolveReport& report = result.value();
+    if (!problem.check(report.schedule).is_ok()) {
       std::cerr << "internal error: schedule failed validation\n";
       return 1;
     }
-  } else {
-    core::BiCritProblem p(dag.value(), mapping, speeds, effective_deadline);
-    result = eng.solve(p, args.solver_name, args.options);
-    if (result.is_ok() && !p.check(result.value().schedule).is_ok()) {
-      std::cerr << "internal error: schedule failed validation\n";
-      return 1;
+    if (report.problem == api::ProblemKind::kTriCrit) {
+      std::cout << "re-executed tasks: " << report.re_executed << "\n";
     }
-  }
-  if (!result.is_ok()) {
-    std::cerr << "solve failed: " << result.status().to_string() << "\n";
-    return 1;
-  }
-
-  const api::SolveReport& report = result.value();
-  if (report.problem == api::ProblemKind::kTriCrit) {
-    std::cout << "re-executed tasks: " << report.re_executed << "\n";
-  }
-  std::cout << "solver: " << report.solver << "\nenergy: " << report.energy
-            << "\nmakespan: " << report.makespan << " (deadline " << effective_deadline
-            << ")\nwall time: " << report.wall_ms << " ms\n";
-  if (args.gantt) sched::write_gantt(std::cout, dag.value(), mapping, report.schedule);
-  if (args.csv) sched::write_timeline_csv(std::cout, dag.value(), mapping, report.schedule);
-  write_trace(eng, args);
-  return 0;
+    std::cout << "solver: " << report.solver << "\nenergy: " << report.energy
+              << "\nmakespan: " << report.makespan << " (deadline " << problem.deadline
+              << ")\nwall time: " << report.wall_ms << " ms\n";
+    if (args.gantt) {
+      sched::write_gantt(std::cout, problem.dag, problem.mapping, report.schedule);
+    }
+    if (args.csv) {
+      sched::write_timeline_csv(std::cout, problem.dag, problem.mapping, report.schedule);
+    }
+    write_trace(eng, args);
+    return 0;
+  });
 }
 
 // ---- simulate -------------------------------------------------------------
 
 /// The simulator's platform: --ladder picks the 7-level discrete
 /// frequency/voltage table (VDD-HOPPING with --vdd), --levels/--fmin/
-/// --fmax work exactly like everywhere else.
-sim::SimConfig make_sim_config(CliArgs& args) {
+/// --fmax work exactly like everywhere else. A bad speed flag is
+/// kInvalidArgument.
+common::Result<sim::SimConfig> make_sim_config(const CliArgs& args) {
   sim::SimConfig config;
-  if (args.ladder) {
-    config.speeds = model::DvfsLadder::xscale7().speed_model(args.vdd);
-    args.fmin = config.speeds.fmin();
-    args.fmax = config.speeds.fmax();
-  } else {
-    config.speeds = make_speeds(args);
+  try {
+    config.speeds = args.ladder   ? model::DvfsLadder::xscale7().speed_model(args.vdd)
+                    : !args.levels ? model::SpeedModel::continuous(args.fmin, args.fmax)
+                    : args.vdd     ? model::SpeedModel::vdd_hopping(*args.levels)
+                                   : model::SpeedModel::discrete(*args.levels);
+  } catch (const std::logic_error& e) {
+    return common::Status::invalid(e.what());
   }
   config.static_power = args.static_power;
   config.wake_energy = args.wake_energy;
@@ -1064,13 +1016,18 @@ common::Result<std::vector<std::string>> sim_policy_list(const CliArgs& args) {
 /// the online DVFS policies and score each against the clairvoyant
 /// offline oracle. Everything printed or exported is bit-identical
 /// across runs and thread counts for the same seed.
-int run_simulate(CliArgs& args) {
+int run_simulate(const CliArgs& args) {
   auto policies = sim_policy_list(args);
   if (!policies.is_ok()) {
     std::cerr << "simulate: " << policies.status().to_string() << "\n";
     return 2;
   }
-  const sim::SimConfig config = make_sim_config(args);
+  const auto made = make_sim_config(args);
+  if (!made.is_ok()) {
+    std::cerr << "simulate: " << made.status().to_string() << "\n";
+    return 2;
+  }
+  const sim::SimConfig& config = made.value();
   const auto classes = sim::default_task_classes(args.periodic);
 
   auto created = make_engine(args);
@@ -1195,7 +1152,7 @@ int run_simulate(CliArgs& args) {
 /// easched_cli metrics: run the solves like the default mode, then dump
 /// the engine's metric registry instead of the per-solve reports — the
 /// local twin of `remote stat --deep`.
-int run_metrics(CliArgs& args) {
+int run_metrics(const CliArgs& args) {
   if (args.no_metrics) {
     std::cerr << "metrics mode and --no-metrics cannot be combined\n";
     return 2;
@@ -1208,15 +1165,19 @@ int run_metrics(CliArgs& args) {
       std::cerr << "metrics --simulate: " << policies.status().to_string() << "\n";
       return 2;
     }
+    const auto config = make_sim_config(args);
+    if (!config.is_ok()) {
+      std::cerr << "metrics --simulate: " << config.status().to_string() << "\n";
+      return 2;
+    }
     auto created = make_engine(args);
     if (!created.is_ok()) {
       std::cerr << "cannot create engine: " << created.status().to_string() << "\n";
       return 1;
     }
     engine::Engine& eng = created.value();
-    const sim::SimConfig config = make_sim_config(args);
     sim::run_policy_corpus(sim::default_task_classes(args.periodic), args.streams,
-                           args.horizon, args.sim_seed, policies.value(), config,
+                           args.horizon, args.sim_seed, policies.value(), config.value(),
                            eng.metrics(), args.threads);
     if (args.json) {
       eng.write_metrics_json(std::cout);
@@ -1232,9 +1193,6 @@ int run_metrics(CliArgs& args) {
                  " [simulate options]\n";
     return 2;
   }
-  const double effective_deadline = args.deadline * args.options.deadline_slack;
-  args.options.deadline_slack = 1.0;
-
   auto created = make_engine(args);
   if (!created.is_ok()) {
     std::cerr << "cannot create engine: " << created.status().to_string() << "\n";
@@ -1244,26 +1202,13 @@ int run_metrics(CliArgs& args) {
 
   int failed = 0;
   for (const auto& path : args.dag_paths) {
-    auto dag = load_dag(path);
-    if (!dag.is_ok()) {
-      std::cerr << "bad dag file " << path << ": " << dag.status().to_string() << "\n";
+    auto built = load_problem(args, path);
+    if (!built.is_ok()) {
+      std::cerr << path << ": " << built.status().to_string() << "\n";
       return 1;
     }
-    const auto mapping = sched::list_schedule(dag.value(), args.processors,
-                                              sched::PriorityPolicy::kCriticalPath);
-    const model::SpeedModel speeds = make_speeds(args);
-    common::Result<api::SolveReport> result = common::Status::internal("unsolved");
-    if (args.frel) {
-      model::ReliabilityModel rel(args.lambda0, args.dexp, args.fmin, args.fmax,
-                                  *args.frel);
-      core::TriCritProblem p(std::move(dag).take(), mapping, speeds,
-                             rel, effective_deadline);
-      result = eng.solve(p, args.solver_name, args.options);
-    } else {
-      core::BiCritProblem p(std::move(dag).take(), mapping, speeds,
-                            effective_deadline);
-      result = eng.solve(p, args.solver_name, args.options);
-    }
+    const auto result = built.value().visit(
+        [&](const auto& problem) { return eng.solve(problem, args.solver_name); });
     if (!result.is_ok()) {
       std::cerr << path << ": solve failed: " << result.status().to_string() << "\n";
       ++failed;
@@ -1357,40 +1302,7 @@ int run_serve(CliArgs& args) {
   return 0;
 }
 
-/// Builds the wire problem from the shared CLI flags + a dag file's text.
-serve::ProblemSpec make_problem_spec(const CliArgs& args, std::string dag_text,
-                                     double deadline) {
-  serve::ProblemSpec spec;
-  spec.dag_text = std::move(dag_text);
-  spec.processors = args.processors;
-  if (args.levels) {
-    spec.speed_kind = args.vdd ? model::SpeedModelKind::kVddHopping
-                               : model::SpeedModelKind::kDiscrete;
-    spec.levels = *args.levels;
-  } else {
-    spec.speed_kind = model::SpeedModelKind::kContinuous;
-    spec.fmin = args.fmin;
-    spec.fmax = args.fmax;
-  }
-  spec.deadline = deadline;
-  if (args.frel) {
-    spec.tricrit = true;
-    spec.lambda0 = args.lambda0;
-    spec.dexp = args.dexp;
-    spec.frel = *args.frel;
-  }
-  return spec;
-}
-
-common::Result<std::string> read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return common::Status::not_found("cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
-int run_remote(const std::string& endpoint, const std::string& op, CliArgs& args) {
+int run_remote(const std::string& endpoint, const std::string& op, const CliArgs& args) {
   std::string host;
   int port = 0;
   if (!parse_host_port(endpoint, host, port)) {
@@ -1453,10 +1365,8 @@ int run_remote(const std::string& endpoint, const std::string& op, CliArgs& args
       std::cerr << "remote solve needs --deadline\n";
       return 2;
     }
-    const double effective_deadline = args.deadline * args.options.deadline_slack;
     serve::SolveRequest request;
-    request.problem =
-        make_problem_spec(args, std::move(dag_text).take(), effective_deadline);
+    request.problem = make_problem_spec(args, std::move(dag_text).take(), args.deadline);
     request.solver = args.solver_name;
     request.job_deadline_ms = args.job_deadline_ms;
     auto response = client.solve(std::move(request));
@@ -1471,42 +1381,18 @@ int run_remote(const std::string& endpoint, const std::string& op, CliArgs& args
     }
     if (r.re_executed > 0) std::cout << "re-executed tasks: " << r.re_executed << "\n";
     std::cout << "solver: " << r.solver << "\nenergy: " << r.energy
-              << "\nmakespan: " << r.makespan << " (deadline " << effective_deadline
+              << "\nmakespan: " << r.makespan << " (deadline " << args.deadline
               << ")\nwall time: " << r.wall_ms << " ms (daemon-side)\n";
     return 0;
   }
 
   if (op == "sweep") {
-    serve::SweepRequest request;
-    const double slack = args.options.deadline_slack;
-    if (args.rmin && args.rmax) {
-      if (args.deadline <= 0.0) {
-        std::cerr << "remote sweep --rmin/--rmax needs a fixed --deadline\n";
-        return 2;
-      }
-      if (!args.frel) args.frel = *args.rmax;  // reliability sweeps are TRI-CRIT
-      request.axis = serve::WireAxis::kReliability;
-      request.lo = *args.rmin;
-      request.hi = *args.rmax;
-      request.problem = make_problem_spec(args, std::move(dag_text).take(),
-                                          args.deadline * slack);
-    } else {
-      if (!args.dmin || !args.dmax || *args.dmin <= 0.0 || *args.dmin > *args.dmax) {
-        std::cerr << "remote sweep needs --dmin/--dmax (0 < dmin <= dmax) or "
-                     "--deadline with --rmin/--rmax\n";
-        return 2;
-      }
-      request.axis = serve::WireAxis::kDeadline;
-      request.lo = *args.dmin * slack;
-      request.hi = *args.dmax * slack;
-      request.problem =
-          make_problem_spec(args, std::move(dag_text).take(), request.hi);
+    auto request = make_sweep_request(args, std::move(dag_text).take());
+    if (!request.is_ok()) {
+      std::cerr << "remote sweep: " << request.status().message() << "\n";
+      return 2;
     }
-    request.initial_points = args.points;
-    request.max_points = args.max_points;
-    request.solver = args.solver_name;
-    request.job_deadline_ms = args.job_deadline_ms;
-    auto response = client.sweep(std::move(request));
+    auto response = client.sweep(std::move(request).take());
     if (!response.is_ok()) {
       std::cerr << "remote sweep failed: " << response.status().to_string() << "\n";
       return 1;

@@ -3,7 +3,9 @@
 # ephemeral loopback port, drives it with the `remote` subcommand
 # (solve, sweep, stat), scrapes the Metrics endpoint twice (exposition
 # lines must parse, counters must be monotone between scrapes), repeats
-# a solve and checks the scrape counts a problem-memo hit, checks a
+# a solve and checks the scrape counts a problem-memo hit, checks that
+# local solve and frontier runs print what the daemon answers and that
+# bad flags exit with an error rather than an abort, checks a
 # --trace-out run emits Chrome trace_event JSON replaying the job
 # lifecycle, asserts a clean SIGTERM shutdown, then runs the
 # bench_serve_load replay trace (warm-vs-cold and overload-shedding
@@ -133,6 +135,54 @@ if (( ${memo_hits:-0} < 1 )); then
   exit 1
 fi
 echo "serve_smoke: problem memo OK (hits $memo_hits)"
+
+# ---- local verbs answer what the daemon answers -------------------------
+# Local verbs and the daemon build every instance through one
+# serve::build_problem (sweeps through serve::build_sweep), so a local
+# solve prints the remote solve's solver, energy and makespan, and a
+# local frontier prints the remote sweep's table, on both axes.
+cli="$build_dir/easched_cli"
+remote=("$cli" remote "127.0.0.1:$port")
+solve_flags=(--deadline 14 --frel 0.8 --slack 1.2)
+"$cli" "$tmp_dir/smoke.dag" "${solve_flags[@]}" > "$tmp_dir/local_solve.out"
+"${remote[@]}" solve "$tmp_dir/smoke.dag" "${solve_flags[@]}" > "$tmp_dir/remote_solve.out"
+solve_lines() { grep -E '^(solver|energy|makespan):' "$1"; }
+diff <(solve_lines "$tmp_dir/local_solve.out") <(solve_lines "$tmp_dir/remote_solve.out")
+(( $(solve_lines "$tmp_dir/local_solve.out" | wc -l) == 3 ))
+
+frontier_table() { sed '/^$/q' "$1"; }  # the table, up to the first blank line
+for axis in "--dmin 8 --dmax 14" "--deadline 14 --rmin 0.5 --rmax 0.9"; do
+  # shellcheck disable=SC2086  # $axis is a list of flags
+  "$cli" frontier "$tmp_dir/smoke.dag" $axis > "$tmp_dir/local_sweep.out"
+  # shellcheck disable=SC2086
+  "${remote[@]}" sweep "$tmp_dir/smoke.dag" $axis > "$tmp_dir/remote_sweep.out"
+  diff <(frontier_table "$tmp_dir/local_sweep.out") \
+       <(frontier_table "$tmp_dir/remote_sweep.out")
+  grep -q '^constraint ' "$tmp_dir/local_sweep.out"
+done
+echo "serve_smoke: local == remote (solve, deadline sweep, reliability sweep)"
+
+# ---- bad input is an error message, never an abort ----------------------
+# expect_error <first stderr line pattern> <easched_cli args...>: exit
+# code 1 or 2 (2 also prints the usage), never a signal such as SIGABRT.
+expect_error() {
+  local pattern="$1" rc=0
+  shift
+  "$cli" "$@" > /dev/null 2> "$tmp_dir/bad.err" || rc=$?
+  if (( rc != 1 && rc != 2 )) || ! head -n1 "$tmp_dir/bad.err" | grep -q -- "$pattern"; then
+    echo "serve_smoke: 'easched_cli $*' exited $rc, want 1 or 2 and '$pattern':" >&2
+    cat "$tmp_dir/bad.err" >&2
+    exit 1
+  fi
+}
+expect_error 'processors must be >= 1' "$tmp_dir/smoke.dag" --deadline 14 --processors 0
+expect_error 'need 0 < fmin <= fmax' "$tmp_dir/smoke.dag" --deadline 14 --fmin 2 --fmax 1
+expect_error "bad value for --deadline: 'abc'" "$tmp_dir/smoke.dag" --deadline abc
+expect_error 'need 1 <= initial_points <= max_points' \
+  frontier "$tmp_dir/smoke.dag" --dmin 8 --dmax 14 --points 0
+expect_error 'processors must be >= 1' \
+  remote "127.0.0.1:$port" solve "$tmp_dir/smoke.dag" --deadline 14 --processors 0
+echo "serve_smoke: bad input exits with an error, never an abort"
 
 # ---- clean SIGTERM shutdown ---------------------------------------------
 kill -TERM "$daemon_pid"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace easched::model {
 
@@ -37,6 +38,11 @@ SpeedModel SpeedModel::vdd_hopping(std::vector<double> levels) {
 SpeedModel SpeedModel::incremental(double fmin, double fmax, double delta) {
   EASCHED_CHECK_MSG(fmin > 0.0 && fmin <= fmax, "need 0 < fmin <= fmax");
   EASCHED_CHECK_MSG(delta > 0.0, "need delta > 0");
+  EASCHED_CHECK_MSG((fmax - fmin) / delta <= kMaxIncrementalLevels,
+                    "delta gives too many speed levels");
+  // Below one ulp of fmax, `f += delta` could leave f unchanged.
+  EASCHED_CHECK_MSG(delta >= fmax * std::numeric_limits<double>::epsilon(),
+                    "delta is too small to change fmax");
   std::vector<double> levels;
   for (double f = fmin; f < fmax - 1e-12; f += delta) levels.push_back(f);
   levels.push_back(fmax);

@@ -42,8 +42,13 @@ class SpeedModel {
   static SpeedModel vdd_hopping(std::vector<double> levels);
   /// Incremental: fmin + i*delta up to fmax (fmax always admissible; the
   /// last step is shortened when (fmax-fmin) is not a multiple of delta,
-  /// which matches "admissible speeds lie in [fmin,fmax]").
+  /// which matches "admissible speeds lie in [fmin,fmax]"). Throws when
+  /// delta would need more than kMaxIncrementalLevels levels, or is too
+  /// small to change fmax.
   static SpeedModel incremental(double fmin, double fmax, double delta);
+  /// Cap on an INCREMENTAL model's level count: far above any real DVFS
+  /// ladder, and a bound on what a peer-supplied delta can allocate.
+  static constexpr int kMaxIncrementalLevels = 1 << 16;
 
   SpeedModelKind kind() const noexcept { return kind_; }
   bool is_discrete_kind() const noexcept { return kind_ != SpeedModelKind::kContinuous; }

@@ -2,6 +2,9 @@
 
 #include "common/bytes.hpp"
 #include "common/frame.hpp"
+#include "graph/io.hpp"
+#include "model/reliability.hpp"
+#include "sched/list_scheduler.hpp"
 
 namespace easched::serve {
 namespace {
@@ -219,6 +222,74 @@ common::Result<SweepRequest> SweepRequest::decode(const std::string& payload) {
   }
   msg.axis = static_cast<WireAxis>(axis_byte);
   return msg;
+}
+
+// ---- building problems --------------------------------------------------
+
+common::Result<BuiltProblem> build_problem(const ProblemSpec& spec) {
+  if (spec.processors < 1) {
+    return common::Status::invalid("ProblemSpec: processors must be >= 1");
+  }
+  if (!(spec.deadline > 0.0)) {
+    return common::Status::invalid("ProblemSpec: deadline must be > 0");
+  }
+  try {
+    auto dag = graph::from_text(spec.dag_text);
+    if (!dag.is_ok()) return dag.status();
+    model::SpeedModel speeds = [&] {
+      switch (spec.speed_kind) {
+        case model::SpeedModelKind::kDiscrete:
+          return model::SpeedModel::discrete(spec.levels);
+        case model::SpeedModelKind::kVddHopping:
+          return model::SpeedModel::vdd_hopping(spec.levels);
+        case model::SpeedModelKind::kIncremental:
+          return model::SpeedModel::incremental(spec.fmin, spec.fmax, spec.delta);
+        case model::SpeedModelKind::kContinuous:
+        default:
+          return model::SpeedModel::continuous(spec.fmin, spec.fmax);
+      }
+    }();
+    const auto mapping = sched::list_schedule(dag.value(), spec.processors,
+                                              sched::PriorityPolicy::kCriticalPath);
+    BuiltProblem built;
+    if (spec.tricrit) {
+      model::ReliabilityModel rel(spec.lambda0, spec.dexp, speeds.fmin(), speeds.fmax(),
+                                  spec.frel);
+      built.tricrit = std::make_shared<const core::TriCritProblem>(
+          std::move(dag).take(), mapping, speeds, rel, spec.deadline);
+    } else {
+      built.bicrit = std::make_shared<const core::BiCritProblem>(
+          std::move(dag).take(), mapping, speeds, spec.deadline);
+    }
+    return built;
+  } catch (const std::exception& e) {
+    return common::Status::invalid(std::string("ProblemSpec rejected: ") + e.what());
+  }
+}
+
+common::Result<BuiltProblem> build_sweep(const SweepRequest& request,
+                                         const ProblemBuilder& build) {
+  if (request.initial_points < 1 || request.max_points < request.initial_points) {
+    return common::Status::invalid("SweepRequest: need 1 <= initial_points <= max_points");
+  }
+  if (!(request.lo > 0.0) || !(request.lo <= request.hi)) {
+    return common::Status::invalid("SweepRequest: need 0 < lo <= hi");
+  }
+  const bool reliability = request.axis == WireAxis::kReliability;
+  if (reliability && !request.problem.tricrit) {
+    return common::Status::invalid("SweepRequest: reliability sweeps need a TRI-CRIT problem");
+  }
+  ProblemSpec spec = request.problem;
+  (reliability ? spec.frel : spec.deadline) = request.hi;
+  auto built = build(spec);
+  if (built.is_ok() && reliability) {
+    const model::ReliabilityModel& rel = built.value().tricrit->reliability;
+    if (request.lo < rel.fmin() || request.hi > rel.fmax()) {
+      return common::Status::invalid(
+          "SweepRequest: reliability range must lie within [fmin, fmax]");
+    }
+  }
+  return built;
 }
 
 std::string StatRequest::encode() const {

@@ -22,9 +22,11 @@
 // in any order (jobs run concurrently on the daemon's engine).
 //
 // Problems travel as ProblemSpec: the DAG in the graph/io.hpp text
-// format plus the platform scalars. The daemon rebuilds the mapping with
-// the same critical-path list scheduler the CLI uses, so a remote solve
-// answers exactly what a local `easched_cli <dag> --deadline D` would.
+// format plus the platform scalars. build_problem is the one place that
+// turns a spec into a problem, with the mapping from the critical-path
+// list scheduler; the daemon and every local CLI verb build through it
+// (and sweeps through build_sweep), so a remote solve answers exactly
+// what a local `easched_cli <dag> --deadline D` would.
 //
 // Every message struct encodes to a payload string and decodes behind a
 // Result — a malformed payload is an expected failure (kInvalidArgument),
@@ -32,11 +34,14 @@
 // every read).
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/frame.hpp"
 #include "common/status.hpp"
+#include "core/problem.hpp"
 #include "model/speed_model.hpp"
 
 namespace easched::serve {
@@ -127,8 +132,8 @@ struct HelloAck {
 
 /// A self-contained problem instance: everything the daemon needs to
 /// rebuild the BiCrit/TriCrit problem the client means. The mapping is
-/// deliberately *not* wire data — the daemon recomputes it with the
-/// critical-path list scheduler, matching the CLI's local behaviour.
+/// deliberately *not* wire data — build_problem recomputes it with the
+/// critical-path list scheduler, on the daemon and in the CLI alike.
 struct ProblemSpec {
   std::string dag_text;  ///< graph/io.hpp text format
   std::int32_t processors = 2;
@@ -176,6 +181,40 @@ struct SweepRequest {
   std::string encode() const;
   static common::Result<SweepRequest> decode(const std::string& payload);
 };
+
+// ---- building problems --------------------------------------------------
+
+/// A problem built from a ProblemSpec. Exactly one pointer is set.
+struct BuiltProblem {
+  std::shared_ptr<const core::BiCritProblem> bicrit;
+  std::shared_ptr<const core::TriCritProblem> tricrit;
+
+  /// f(problem) on whichever problem is set; both calls return one type.
+  template <class F>
+  decltype(auto) visit(F&& f) const {
+    return bicrit ? f(*bicrit) : f(*tricrit);
+  }
+};
+
+/// Builds the problem a ProblemSpec describes: the parsed DAG, its
+/// critical-path list-scheduled mapping, the speed model and, for
+/// TRI-CRIT, the reliability model. Model constructors treat bad
+/// parameters as precondition violations (logic_error); a spec is data —
+/// it may come from a peer — so those throws, like a bad DAG, come back
+/// as kInvalidArgument.
+common::Result<BuiltProblem> build_problem(const ProblemSpec& spec);
+
+using ProblemBuilder = std::function<common::Result<BuiltProblem>(const ProblemSpec&)>;
+
+/// Checks a sweep and builds its problem. Needs 1 <= initial_points <=
+/// max_points, 0 < lo <= hi, and TRI-CRIT for a reliability sweep. The
+/// problem is anchored at the axis maximum — deadline = hi for a deadline
+/// sweep, frel = hi for a reliability sweep — and built through `build`
+/// (build_problem, or a memo in front of it); a reliability range must
+/// then lie within the built speed model's [fmin, fmax]. A failed check
+/// is kInvalidArgument; a failed build returns its own status.
+common::Result<BuiltProblem> build_sweep(const SweepRequest& request,
+                                         const ProblemBuilder& build = build_problem);
 
 struct StatRequest {
   std::uint64_t request_id = 0;

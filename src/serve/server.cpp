@@ -26,11 +26,7 @@
 #include "common/bytes.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
-#include "graph/io.hpp"
-#include "model/reliability.hpp"
-#include "model/speed_model.hpp"
 #include "obs/metrics.hpp"
-#include "sched/list_scheduler.hpp"
 #include "serve/protocol.hpp"
 
 namespace easched::serve {
@@ -145,58 +141,6 @@ common::Status set_nonblocking(int fd) {
   return common::Status::ok();
 }
 
-/// A request's problem, rebuilt server-side. Exactly one pointer is set.
-struct BuiltProblem {
-  std::shared_ptr<const core::BiCritProblem> bicrit;
-  std::shared_ptr<const core::TriCritProblem> tricrit;
-};
-
-/// Rebuilds the problem a ProblemSpec describes, with the mapping
-/// recomputed by the same critical-path list scheduler the CLI uses.
-/// Model constructors treat bad parameters as precondition violations
-/// (logic_error); at this trust boundary the peer's bytes are data, not
-/// preconditions, so those throws degrade into kInvalidArgument responses.
-common::Result<BuiltProblem> build_problem(const ProblemSpec& spec) {
-  if (spec.processors < 1) {
-    return common::Status::invalid("ProblemSpec: processors must be >= 1");
-  }
-  if (!(spec.deadline > 0.0)) {
-    return common::Status::invalid("ProblemSpec: deadline must be > 0");
-  }
-  try {
-    auto dag = graph::from_text(spec.dag_text);
-    if (!dag.is_ok()) return dag.status();
-    model::SpeedModel speeds = [&] {
-      switch (spec.speed_kind) {
-        case model::SpeedModelKind::kDiscrete:
-          return model::SpeedModel::discrete(spec.levels);
-        case model::SpeedModelKind::kVddHopping:
-          return model::SpeedModel::vdd_hopping(spec.levels);
-        case model::SpeedModelKind::kIncremental:
-          return model::SpeedModel::incremental(spec.fmin, spec.fmax, spec.delta);
-        case model::SpeedModelKind::kContinuous:
-        default:
-          return model::SpeedModel::continuous(spec.fmin, spec.fmax);
-      }
-    }();
-    const auto mapping = sched::list_schedule(dag.value(), spec.processors,
-                                              sched::PriorityPolicy::kCriticalPath);
-    BuiltProblem built;
-    if (spec.tricrit) {
-      model::ReliabilityModel rel(spec.lambda0, spec.dexp, speeds.fmin(), speeds.fmax(),
-                                  spec.frel);
-      built.tricrit = std::make_shared<const core::TriCritProblem>(
-          std::move(dag).take(), mapping, speeds, rel, spec.deadline);
-    } else {
-      built.bicrit = std::make_shared<const core::BiCritProblem>(
-          std::move(dag).take(), mapping, speeds, spec.deadline);
-    }
-    return built;
-  } catch (const std::exception& e) {
-    return common::Status::invalid(std::string("ProblemSpec rejected: ") + e.what());
-  }
-}
-
 /// Caps on the built-problem memo: entries, and bytes as memo_charge()
 /// counts them.
 constexpr std::size_t kMemoMaxEntries = 1024;
@@ -221,8 +165,7 @@ std::size_t problem_bytes(const Problem& p) {
 /// What one memo entry counts against kMemoMaxBytes: its key (which holds
 /// the DAG text, task names included) plus its problem's estimated heap.
 std::size_t memo_charge(const std::string& key, const BuiltProblem& built) {
-  return key.size() +
-         (built.bicrit ? problem_bytes(*built.bicrit) : problem_bytes(*built.tricrit));
+  return key.size() + built.visit([](const auto& problem) { return problem_bytes(problem); });
 }
 
 /// The memo key: every request byte that determines a built problem —
@@ -242,14 +185,24 @@ struct MemoEntry {
   std::size_t charge = 0;  ///< memo_charge(key, problem)
 };
 
-/// A request's problem, from the memo or freshly built. `key` is kept
-/// only for a fresh successful build, for Impl::remember to store.
-struct MemoLookup {
-  common::Result<BuiltProblem> built;
-  std::string key;
-};
-
 }  // namespace
+
+engine::FrontierQuery sweep_query(const SweepRequest& request, const BuiltProblem& built,
+                                  frontier::FrontierOptions options) {
+  engine::FrontierQuery query;
+  query.bicrit = built.bicrit;
+  query.tricrit = built.tricrit;
+  query.axis = request.axis == WireAxis::kReliability
+                   ? frontier::ConstraintAxis::kReliability
+                   : frontier::ConstraintAxis::kDeadline;
+  query.lo = request.lo;
+  query.hi = request.hi;
+  query.options = std::move(options);
+  query.options.initial_points = request.initial_points;
+  query.options.max_points = request.max_points;
+  query.options.solver = request.solver;
+  return query;
+}
 
 struct Server::Impl {
   engine::Engine* engine = nullptr;
@@ -306,35 +259,36 @@ struct Server::Impl {
   }
 
   /// build_problem through the memo: a hit skips the DAG parse and the
-  /// list scheduling. A miss is stored only by remember(), once the
-  /// request is admitted, so neither a rejected spec nor a shed request
-  /// ever enters the memo (or evicts another tenant's entries).
-  MemoLookup build_memoized(Conn& conn, const ProblemSpec& spec) {
+  /// list scheduling. A fresh successful build leaves its key in
+  /// `fresh_key`; it is stored only by remember(), once the request is
+  /// admitted, so neither a rejected spec nor a shed request ever enters
+  /// the memo (or evicts another tenant's entries).
+  common::Result<BuiltProblem> build_memoized(Conn& conn, const ProblemSpec& spec,
+                                              std::string& fresh_key) {
     Tenant& tenant = *conn.tenant;
     std::string key = memo_key(conn.tenant_id, spec);
     if (const auto it = memo_index.find(key); it != memo_index.end()) {
       memo.splice(memo.begin(), memo, it->second);
       stats->problem_memo_hits.fetch_add(1, std::memory_order_relaxed);
       if (tenant.m_memo_hits != nullptr) tenant.m_memo_hits->inc();
-      return {it->second->problem, {}};
+      return it->second->problem;
     }
     stats->problem_memo_misses.fetch_add(1, std::memory_order_relaxed);
     if (tenant.m_memo_misses != nullptr) tenant.m_memo_misses->inc();
     auto built = build_problem(spec);
-    if (!built.is_ok()) return {std::move(built), {}};
-    return {std::move(built), std::move(key)};
+    if (built.is_ok()) fresh_key = std::move(key);
+    return built;
   }
 
   /// Stores an admitted request's fresh build, then evicts least recently
   /// used entries past the caps. A problem that alone exceeds the byte
   /// cap is not stored.
-  void remember(Conn& conn, MemoLookup& lookup) {
-    if (lookup.key.empty()) return;
-    const std::size_t charge = memo_charge(lookup.key, lookup.built.value());
+  void remember(Conn& conn, std::string fresh_key, const BuiltProblem& built) {
+    if (fresh_key.empty()) return;
+    const std::size_t charge = memo_charge(fresh_key, built);
     if (charge > kMemoMaxBytes) return;
     memo_bytes += charge;
-    memo.push_front(
-        MemoEntry{std::move(lookup.key), conn.tenant, lookup.built.value(), charge});
+    memo.push_front(MemoEntry{std::move(fresh_key), conn.tenant, built, charge});
     memo_index.emplace(memo.front().key, memo.begin());
     while (memo.size() > kMemoMaxEntries || memo_bytes > kMemoMaxBytes) {
       const MemoEntry& victim = memo.back();
@@ -475,17 +429,18 @@ struct Server::Impl {
     }
     const SolveRequest& msg = decoded.value();
     count_request(conn);
-    auto lookup = build_memoized(conn, msg.problem);
-    if (!lookup.built.is_ok()) {
+    std::string fresh_key;
+    const auto built_or = build_memoized(conn, msg.problem, fresh_key);
+    if (!built_or.is_ok()) {
       SolveResponse resp;
       resp.request_id = msg.request_id;
-      resp.status = lookup.built.status();
+      resp.status = built_or.status();
       enqueue(conn, MsgType::kSolveResponse, resp.encode());
       return;
     }
     if (!admit(conn, msg.request_id, /*is_sweep=*/false)) return;
-    remember(conn, lookup);
-    const BuiltProblem& built = lookup.built.value();
+    const BuiltProblem& built = built_or.value();
+    remember(conn, std::move(fresh_key), built);
     // Arrival is read only when the latency series exists, so metrics-off
     // daemons skip even the clock call.
     const auto arrival = conn.tenant->m_latency_ms != nullptr
@@ -540,69 +495,32 @@ struct Server::Impl {
     const SweepRequest& msg = decoded.value();
     count_request(conn);
 
-    auto reject = [&](common::Status status) {
+    std::string fresh_key;
+    const auto built_or = build_sweep(msg, [&](const ProblemSpec& spec) {
+      return build_memoized(conn, spec, fresh_key);
+    });
+    if (!built_or.is_ok()) {
       SweepResponse resp;
       resp.request_id = msg.request_id;
       resp.axis = msg.axis;
-      resp.status = std::move(status);
+      resp.status = built_or.status();
       enqueue(conn, MsgType::kSweepResponse, resp.encode());
-    };
-
-    if (msg.initial_points < 1 || msg.max_points < msg.initial_points) {
-      reject(common::Status::invalid(
-          "SweepRequest: need 1 <= initial_points <= max_points"));
-      return;
-    }
-    if (!(msg.lo > 0.0) || !(msg.lo <= msg.hi)) {
-      reject(common::Status::invalid("SweepRequest: need 0 < lo <= hi"));
-      return;
-    }
-    const bool reliability = msg.axis == WireAxis::kReliability;
-    if (reliability && !msg.problem.tricrit) {
-      reject(common::Status::invalid(
-          "SweepRequest: reliability sweeps need a TRI-CRIT problem"));
-      return;
-    }
-    // Deadline sweeps anchor the problem at the axis maximum; reliability
-    // sweeps keep the spec's fixed deadline and push the axis maximum
-    // into the reliability threshold — both mirror the CLI exactly.
-    ProblemSpec spec = msg.problem;
-    if (reliability) {
-      spec.frel = msg.hi;
-    } else {
-      spec.deadline = msg.hi;
-    }
-    auto lookup = build_memoized(conn, spec);
-    if (!lookup.built.is_ok()) {
-      reject(lookup.built.status());
       return;
     }
     if (!admit(conn, msg.request_id, /*is_sweep=*/true)) return;
-    remember(conn, lookup);
-    const BuiltProblem& built = lookup.built.value();
+    remember(conn, std::move(fresh_key), built_or.value());
     const auto arrival = conn.tenant->m_latency_ms != nullptr
                              ? std::chrono::steady_clock::now()
                              : std::chrono::steady_clock::time_point{};
 
     frontier::FrontierOptions fopt;
-    fopt.initial_points = msg.initial_points;
-    fopt.max_points = msg.max_points;
-    fopt.solver = msg.solver;
     fopt.solve.cache_namespace = conn.tenant_id;
-
-    engine::FrontierQuery query =
-        reliability
-            ? engine::FrontierQuery::reliability(built.tricrit, msg.lo, msg.hi, fopt)
-            : (built.bicrit
-                   ? engine::FrontierQuery::deadline(built.bicrit, msg.lo, msg.hi, fopt)
-                   : engine::FrontierQuery::deadline(built.tricrit, msg.lo, msg.hi,
-                                                     fopt));
+    engine::FrontierQuery query = sweep_query(msg, built_or.value(), std::move(fopt));
 
     engine::Engine::FrontierHandle handle;
     if (!msg.prev_probes.empty()) {
       engine::ResweepQuery resweep;
-      resweep.prev.axis = reliability ? frontier::ConstraintAxis::kReliability
-                                      : frontier::ConstraintAxis::kDeadline;
+      resweep.prev.axis = query.axis;
       resweep.prev.probes = msg.prev_probes;
       resweep.target = std::move(query);
       handle = engine->submit(std::move(resweep), submit_options(msg.job_deadline_ms));

@@ -11,8 +11,9 @@
 //
 // Problem memo: a request's problem (the DAG parse plus the list-scheduled
 // mapping) is built once and memoized under the exact bytes that
-// determine it — tenant id and encoded ProblemSpec as built (a deadline
-// sweep's spec carries deadline = hi, a reliability sweep's frel = hi).
+// determine it — tenant id and encoded ProblemSpec as build_problem gets
+// it (build_sweep anchors a deadline sweep's spec at deadline = hi, a
+// reliability sweep's at frel = hi).
 // A hit needs equality of both, never just a hash. The memo is per
 // tenant like everything else (identical bytes from two tenants are two
 // entries), touched only by the loop thread, and bounded by fixed caps
@@ -58,6 +59,7 @@
 
 #include "common/status.hpp"
 #include "engine/engine.hpp"
+#include "serve/protocol.hpp"
 
 namespace easched::serve {
 
@@ -87,6 +89,13 @@ struct ServerStats {
   std::uint64_t problem_memo_misses = 0;     ///< requests that built their problem
   std::uint64_t problem_memo_evictions = 0;  ///< memo entries dropped by its caps
 };
+
+/// The engine query for a sweep whose problem build_sweep built: the
+/// request's axis, range, grid and solver over `built`, on top of
+/// `options`. The daemon and the CLI's local `frontier` both sweep
+/// through it.
+engine::FrontierQuery sweep_query(const SweepRequest& request, const BuiltProblem& built,
+                                  frontier::FrontierOptions options = {});
 
 class Server {
  public:

@@ -106,6 +106,21 @@ TEST(SpeedModel, InvalidConstructionThrows) {
   EXPECT_THROW(SpeedModel::incremental(1.0, 2.0, 0.0), std::logic_error);
 }
 
+TEST(SpeedModel, IncrementalLevelCountIsBounded) {
+  // At the cap the model builds; a step twice as fine is refused before
+  // the loop allocates anything.
+  const double at_cap = 1.0 / SpeedModel::kMaxIncrementalLevels;
+  EXPECT_EQ(SpeedModel::incremental(1.0, 2.0, at_cap).num_levels(),
+            SpeedModel::kMaxIncrementalLevels + 1);
+  EXPECT_THROW(SpeedModel::incremental(1.0, 2.0, at_cap / 2), std::logic_error);
+  EXPECT_THROW(SpeedModel::incremental(1.0, 2.0, 1e-9), std::logic_error);
+  // 1 + 1e-20 == 1: without the check the loop would never end.
+  EXPECT_THROW(SpeedModel::incremental(1.0, 2.0, 1e-20), std::logic_error);
+  // Few levels, but a step below fmax's precision: f += delta stalls.
+  ASSERT_EQ(1.0 + 1e-16, 1.0);
+  EXPECT_THROW(SpeedModel::incremental(1.0, 1.0 + 5e-12, 1e-16), std::logic_error);
+}
+
 TEST(SpeedModel, XscaleLevels) {
   const auto levels = xscale_levels();
   ASSERT_EQ(levels.size(), 5u);

@@ -12,7 +12,10 @@
 //     bit-identically, tenants never share entries, every ProblemSpec
 //     field is part of the key, rejected specs are never stored, and an
 //     evicted spec is rebuilt and still answered correctly;
-//   * a DAG header claiming billions of tasks is rejected at once.
+//   * a DAG header claiming billions of tasks, or an INCREMENTAL step
+//     asking for billions of speed levels, is rejected at once;
+//   * a reliability sweep outside [fmin, fmax] is rejected before
+//     admission and never memoized.
 // The whole file must run clean under check.sh --tsan: responses are
 // encoded on engine worker threads while the poll loop owns the sockets.
 
@@ -1020,6 +1023,81 @@ TEST(Serve, DagHeaderBombIsRejectedQuickly) {
   auto response = client.value().solve(good);
   ASSERT_TRUE(response.is_ok()) << response.status().to_string();
   expect_matches_local(response.value(), problem.spec);
+  daemon.server->stop();
+}
+
+TEST(Serve, TinyIncrementalStepIsRejectedQuickly) {
+  auto daemon = Daemon::start({}, {});
+  const auto problem = make_problem(37, 8, 1.6);
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "steps");
+  ASSERT_TRUE(client.is_ok());
+
+  // A short spec asking for 10^9 speed levels, and one whose step cannot
+  // change f at all (1 + 1e-20 == 1): both refused before any level is
+  // allocated, instead of stalling the poll thread.
+  for (const double delta : {1e-9, 1e-20}) {
+    SolveRequest request;
+    request.problem = problem.spec;
+    request.problem.speed_kind = model::SpeedModelKind::kIncremental;
+    request.problem.fmin = 1.0;
+    request.problem.fmax = 2.0;
+    request.problem.delta = delta;
+    const auto start = std::chrono::steady_clock::now();
+    auto rejected = client.value().solve(request);
+    const double ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+            .count();
+    ASSERT_TRUE(rejected.is_ok()) << rejected.status().to_string();
+    EXPECT_EQ(rejected.value().status.code(), common::StatusCode::kInvalidArgument)
+        << rejected.value().status.to_string();
+    EXPECT_LT(ms, 100.0);
+  }
+
+  // The same connection then serves a valid solve.
+  SolveRequest good;
+  good.problem = problem.spec;
+  auto response = client.value().solve(good);
+  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+  expect_matches_local(response.value(), problem.spec);
+  daemon.server->stop();
+}
+
+TEST(Serve, ReliabilitySweepBelowFminIsRejectedBeforeAdmission) {
+  auto daemon = Daemon::start({}, {});
+  const auto problem = make_problem(38, 6, 2.0);
+  SweepRequest sweep;
+  sweep.problem = problem.spec;
+  sweep.problem.fmin = 0.2;
+  sweep.problem.tricrit = true;
+  sweep.axis = WireAxis::kReliability;
+  sweep.lo = 0.1;  // below fmin: no threshold speed there
+  sweep.hi = 0.9;
+  sweep.initial_points = 3;
+  sweep.max_points = 5;
+
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "below");
+  ASSERT_TRUE(client.is_ok());
+  for (int i = 0; i < 2; ++i) {
+    auto response = client.value().sweep(sweep);
+    ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+    EXPECT_EQ(response.value().status.code(), common::StatusCode::kInvalidArgument)
+        << response.value().status.to_string();
+  }
+  // Neither attempt was admitted, and neither stored its build: the
+  // repeat built the problem again rather than hitting the memo.
+  auto stat = client.value().stat();
+  ASSERT_TRUE(stat.is_ok());
+  EXPECT_EQ(stat.value().tenant_accepted, 0u);
+  EXPECT_EQ(daemon.server->stats().problem_memo_misses, 2u);
+  EXPECT_EQ(daemon.server->stats().problem_memo_hits, 0u);
+
+  // The same problem over a range inside [fmin, fmax] is served.
+  sweep.lo = 0.5;
+  auto served = client.value().sweep(sweep);
+  ASSERT_TRUE(served.is_ok()) << served.status().to_string();
+  EXPECT_TRUE(served.value().status.is_ok()) << served.value().status.to_string();
+  EXPECT_FALSE(served.value().points.empty());
+  EXPECT_EQ(daemon.server->stats().problem_memo_misses, 3u);
   daemon.server->stop();
 }
 
