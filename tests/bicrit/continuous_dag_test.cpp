@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "bicrit/closed_form.hpp"
 #include "common/rng.hpp"
+#include "core/corpus.hpp"
 #include "graph/analysis.hpp"
 #include "graph/generators.hpp"
 #include "sched/list_scheduler.hpp"
@@ -167,6 +173,108 @@ TEST(ContinuousDag, RejectsDiscreteModel) {
   const auto dag = graph::make_chain({1.0});
   const auto mapping = sched::Mapping::single_processor(dag, {0});
   EXPECT_FALSE(solve_continuous(dag, mapping, 10.0, SpeedModel::discrete({1.0})).is_ok());
+}
+
+// Energies of a seeded corpus (8 families x {16, 32} tasks x 4 deadlines),
+// frozen as exact hex. A change to the barrier's stopping rule may move
+// them by rounding only: every energy must hold to 1e-12 relative.
+const double kCorpusEnergies[] = {
+    0x1.209ba391bc217p+6,
+    0x1.788e79c4f69d3p+5,
+    0x1.3e30b64151b5p+4,
+    0x1.3e30b641588d6p+2,
+    0x1.ef2c31a5c27f4p+4,
+    0x1.33d8c2e63b5a1p+4,
+    0x1.03fd76cbfc717p+3,
+    0x1.040d4a0d56311p+1,
+    0x1.13151adbece9dp+5,
+    0x1.4b399419a70b9p+4,
+    0x1.17e292e79d7b6p+3,
+    0x1.18230ec4dd5bdp+1,
+    0x1.0b591949f322bp+6,
+    0x1.476bc4af4cb86p+5,
+    0x1.13c75cbf9b1bcp+4,
+    0x1.13c75cbfa329cp+2,
+    0x1.afddc1d72ba0cp+5,
+    0x1.1929fd6b5b2e1p+5,
+    0x1.db2acd8f0b95cp+3,
+    0x1.db2acd8f1d4a5p+1,
+    0x1.0680985d1a52dp+6,
+    0x1.567ee20f70d2fp+5,
+    0x1.2168a7fb222abp+4,
+    0x1.2168a7fb2a384p+2,
+    0x1.444ee98ee3826p+5,
+    0x1.a722cb3d774e9p+4,
+    0x1.658cc2c7278e9p+3,
+    0x1.658cc2c73c80bp+1,
+    0x1.c29b49a5364e4p+5,
+    0x1.25f5f79e25dbbp+5,
+    0x1.f0cb3464e243ep+3,
+    0x1.f0cb3464f4c28p+1,
+    0x1.248fb1b2f7202p+7,
+    0x1.7db6f02e6d374p+6,
+    0x1.428c80b698748p+5,
+    0x1.428c80b69f1acp+3,
+    0x1.01c8c026ab007p+6,
+    0x1.4602070234aafp+5,
+    0x1.0dffa078c105ap+4,
+    0x1.0e71303f3c302p+2,
+    0x1.137af518f9c8p+6,
+    0x1.35f06a2ebe08dp+5,
+    0x1.fa083912fede2p+3,
+    0x1.fab3c71041f18p+1,
+    0x1.2b4e8da2d24d3p+7,
+    0x1.6fc5dbefb19cep+6,
+    0x1.352664ed493e6p+5,
+    0x1.352664ed507ddp+3,
+    0x1.feacb0b58ca8ep+6,
+    0x1.3ca1f55b73a71p+6,
+    0x1.0aebdd1859642p+5,
+    0x1.0aebdd1860d74p+3,
+    0x1.7f2c4bd2217f4p+6,
+    0x1.f26cd59d44f84p+5,
+    0x1.a52b53396258bp+4,
+    0x1.a52b533971a5ap+2,
+    0x1.04534b07e4b23p+7,
+    0x1.53a7c091dfd64p+6,
+    0x1.1f023b0aa122fp+5,
+    0x1.1f023b0aa895cp+3,
+    0x1.cbaf2461aeb71p+6,
+    0x1.2be1f90f40e2p+6,
+    0x1.facd41121c955p+4,
+    0x1.facd41122e4cep+2,
+};
+
+TEST(ContinuousDag, SeededCorpusEnergiesHoldToRounding) {
+  const auto speeds = SpeedModel::continuous(0.05, 1.0);
+  std::vector<double> energies;
+  for (int tasks : {16, 32}) {
+    common::Rng rng(1207);
+    core::CorpusOptions options;
+    options.tasks = tasks;
+    options.processors = 4;
+    options.instances_per_family = 1;
+    for (const auto& inst : core::standard_corpus(rng, options)) {
+      for (double slack : {1.05, 1.3, 2.0, 4.0}) {
+        const double D = core::deadline_with_slack(inst, speeds.fmax(), slack);
+        auto r = solve_continuous(inst.dag, inst.mapping, D, speeds);
+        ASSERT_TRUE(r.is_ok()) << inst.name << " " << slack << ": " << r.status().to_string();
+        energies.push_back(r.value().energy);
+      }
+    }
+  }
+  ASSERT_EQ(energies.size(), std::size(kCorpusEnergies)) << [&] {
+    std::string all;
+    char buf[64];
+    for (double e : energies) {
+      std::snprintf(buf, sizeof buf, "    %a,\n", e);
+      all += buf;
+    }
+    return all;
+  }();
+  for (std::size_t i = 0; i < energies.size(); ++i) {
+    EXPECT_NEAR(energies[i], kCorpusEnergies[i], 1e-12 * kCorpusEnergies[i]) << i;
+  }
 }
 
 }  // namespace
