@@ -150,6 +150,7 @@ BarrierResult minimize_barrier(const InversePowerObjective& objective,
       Vector x_new(n);
       Vector r_new;
       bool accepted = false;
+      double f1 = f0;
       for (int ls = 0; ls < 64; ++ls) {
         for (std::size_t j = 0; j < n; ++j) x_new[j] = x[j] - alpha * dx[j];
         bool interior = compute_residuals(constraints, x_new, r_new);
@@ -162,7 +163,7 @@ BarrierResult minimize_barrier(const InversePowerObjective& objective,
           }
         }
         if (interior) {
-          const double f1 = t * objective.value(x_new) + barrier_value(r_new);
+          f1 = t * objective.value(x_new) + barrier_value(r_new);
           if (f1 <= f0 + opt.armijo_alpha * alpha * slope) {
             accepted = true;
             break;
@@ -170,7 +171,10 @@ BarrierResult minimize_barrier(const InversePowerObjective& objective,
         }
         alpha *= opt.armijo_beta;
       }
-      if (!accepted) break;  // numerically stuck on this centering; advance t
+      // Stop centering (and advance t) when no step passes Armijo, or when
+      // the accepted one does not strictly lower t f + phi: that step would
+      // move x only within rounding (see "Stopping rule" in barrier.hpp).
+      if (!accepted || !(f1 < f0)) break;
       x.swap(x_new);
       r.swap(r_new);
     }

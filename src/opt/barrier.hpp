@@ -82,6 +82,19 @@ struct BarrierResult {
 /// Minimises `objective` over { x : A x <= b } starting from the strictly
 /// feasible point x0 (every constraint satisfied with positive slack).
 ///
+/// Stopping rule. Each outer step centres t f + phi by damped Newton, and
+/// a centering ends at the first of:
+///  * the Newton decrement lambda^2/2 falls to tol::kNewtonDecrement;
+///  * no backtracked step passes the Armijo test;
+///  * the accepted step does not strictly lower t f + phi (the rounding
+///    floor). Armijo accepts f1 == f0 only when alpha lambda^2/4 is below
+///    half an ulp of f0, which happens at large t (t f + phi ~ 1e13 at
+///    t ~ 1e10) where the absolute decrement test can never pass; such a
+///    step is not taken;
+///  * max_newton_per_outer steps.
+/// The outer loop stops once the m/t gap certificate is below
+/// gap_tolerance.
+///
 /// Returns kInvalidArgument when x0 is not strictly feasible and
 /// kNotConverged when Newton systems become numerically singular.
 BarrierResult minimize_barrier(const InversePowerObjective& objective,

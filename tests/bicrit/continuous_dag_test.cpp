@@ -277,5 +277,32 @@ TEST(ContinuousDag, SeededCorpusEnergiesHoldToRounding) {
   }
 }
 
+// Newton steps the barrier spends on one fixed mapped random DAG over a
+// ladder of deadlines, all strictly between the fmax and fmin makespans.
+int newton_steps_on_fixed_dag(int tasks, std::uint64_t seed) {
+  common::Rng rng(seed);
+  const auto dag = graph::make_random_dag(tasks, 4.0 / tasks, {1.0, 5.0}, rng);
+  const auto mapping = sched::list_schedule(dag, 4, sched::PriorityPolicy::kCriticalPath);
+  const auto speeds = SpeedModel::continuous(0.05, 1.0);
+  std::vector<double> dmax(static_cast<std::size_t>(tasks));
+  for (int t = 0; t < tasks; ++t) dmax[static_cast<std::size_t>(t)] = dag.weight(t);
+  const double base = graph::time_analysis(mapping.augmented_graph(dag), dmax, 0.0).makespan;
+  int steps = 0;
+  for (double factor : {1.1, 1.5, 2.5, 6.0}) {
+    auto r = solve_continuous(dag, mapping, base * factor, speeds);
+    EXPECT_TRUE(r.is_ok()) << factor << ": " << r.status().to_string();
+    if (r.is_ok()) steps += r.value().newton_steps;
+  }
+  return steps;
+}
+
+// Before the barrier stopped centering at the rounding floor these two
+// ladders took 987 and 1236 Newton steps; most of them moved x only within
+// rounding. The budget is half of that.
+TEST(ContinuousDag, NewtonStepBudget) {
+  EXPECT_LE(newton_steps_on_fixed_dag(16, 16), 987 / 2);
+  EXPECT_LE(newton_steps_on_fixed_dag(64, 64), 1236 / 2);
+}
+
 }  // namespace
 }  // namespace easched::bicrit
