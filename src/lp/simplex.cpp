@@ -15,6 +15,9 @@ using easched::common::tol::kPivot;
 using easched::common::tol::kReducedCost;
 using linalg::Matrix;
 
+// Pivot updates round every entry below this magnitude to exactly 0.
+constexpr double kZeroClamp = 1e-13;
+
 // How each model variable maps into standard-form variables:
 //   x = shift + sign*std[col_a] - (split ? std[col_b] : 0)
 struct VarMap {
@@ -91,6 +94,7 @@ class Tableau {
     artificial_begin_ = nstruct_ + nslack;
     T_ = Matrix(static_cast<std::size_t>(m_) + 1, static_cast<std::size_t>(ncols_) + 1);
     basis_.assign(static_cast<std::size_t>(m_), -1);
+    dirty_.assign(static_cast<std::size_t>(m_) + 1, 1);
 
     int next_slack = nstruct_;
     int next_art = artificial_begin_;
@@ -169,6 +173,7 @@ class Tableau {
             cb * T_(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
       }
     }
+    dirty_[static_cast<std::size_t>(m_)] = 1;
     phase1_ = false;
   }
 
@@ -232,21 +237,47 @@ class Tableau {
     return best;
   }
 
+  // Sparse pivot. The dense update T(r,:) -= f * T(prow,:) changes row r
+  // only in the pivot row's nonzero columns, except that it also clamps
+  // every |v| < kZeroClamp in the whole row to 0. Invariant: a row is
+  // *clean* when it holds no entry with 0 < |v| < kZeroClamp, and on a
+  // clean row the update over the nonzero columns alone gives the dense
+  // result bit for bit, apart from the sign of zeros it does not visit
+  // (-0.0 kept where the dense loop wrote +0.0; no comparison and no
+  // nonzero value depends on it). A row that may not be clean is marked
+  // dirty: every row after build(), the cost row after to_phase2(), and a
+  // pivot row whose division left a tiny entry (the pivot row itself is
+  // never clamped). A dirty row gets the full-width pass the next time it
+  // is updated, which leaves it clean.
   void pivot(int prow, int pcol) {
-    const double p = T_(static_cast<std::size_t>(prow), static_cast<std::size_t>(pcol));
+    const std::size_t width = static_cast<std::size_t>(ncols_) + 1;
+    double* const pr = T_.row(static_cast<std::size_t>(prow));
+    const double p = pr[pcol];
     EASCHED_CHECK_MSG(std::fabs(p) > 1e-300, "simplex pivot on zero element");
-    for (int c = 0; c <= ncols_; ++c) {
-      T_(static_cast<std::size_t>(prow), static_cast<std::size_t>(c)) /= p;
+    nonzero_.clear();
+    bool tiny = false;
+    for (std::size_t c = 0; c < width; ++c) {
+      pr[c] /= p;
+      if (pr[c] != 0.0) {
+        nonzero_.push_back(c);
+        tiny = tiny || std::fabs(pr[c]) < kZeroClamp;
+      }
     }
+    dirty_[static_cast<std::size_t>(prow)] = tiny;
+    auto update = [pr](double* row, double f, std::size_t c) {
+      const double v = row[c] - f * pr[c];
+      row[c] = std::fabs(v) < kZeroClamp ? 0.0 : v;
+    };
     for (int r = 0; r <= m_; ++r) {
       if (r == prow) continue;
-      const double f = T_(static_cast<std::size_t>(r), static_cast<std::size_t>(pcol));
+      double* const row = T_.row(static_cast<std::size_t>(r));
+      const double f = row[pcol];
       if (f == 0.0) continue;
-      for (int c = 0; c <= ncols_; ++c) {
-        double v = T_(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) -
-                   f * T_(static_cast<std::size_t>(prow), static_cast<std::size_t>(c));
-        if (std::fabs(v) < 1e-13) v = 0.0;
-        T_(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) = v;
+      if (dirty_[static_cast<std::size_t>(r)]) {
+        for (std::size_t c = 0; c < width; ++c) update(row, f, c);
+        dirty_[static_cast<std::size_t>(r)] = false;
+      } else {
+        for (std::size_t c : nonzero_) update(row, f, c);
       }
     }
     basis_[static_cast<std::size_t>(prow)] = pcol;
@@ -258,6 +289,8 @@ class Tableau {
   int artificial_begin_ = 0;
   Matrix T_;
   std::vector<int> basis_;
+  std::vector<char> dirty_;           // per tableau row: may hold a tiny entry
+  std::vector<std::size_t> nonzero_;  // pivot-row nonzero columns (scratch)
   std::vector<double> cost_;
   SimplexOptions opt_;
   bool phase1_ = true;

@@ -213,5 +213,25 @@ TEST(Simplex, MatchesBruteForceOnRandomVertexEnumeration) {
   }
 }
 
+TEST(Simplex, TinyEntryLeftByPivotDivisionIsClamped) {
+  // min -4y s.t. 2y <= 4, 1000x + 1e-11 y >= 0, x = 5: optimum (5, 2).
+  // Pivoting x into the second row divides 1e-11 by 1000 and leaves a
+  // 1e-14 entry there, below the tableau's zero clamp. A later pivot
+  // whose row is zero in y's column must still round that entry to 0
+  // when it updates the row; kept, it shifts x to 5 - 2e-14. Exact
+  // equality is the point: the clamp makes the result come out exact.
+  LpModel m;
+  const int x = m.add_variable(0.0, kInf, 0.0);
+  const int y = m.add_variable(0.0, kInf, -4.0);
+  m.add_constraint({{y, 2.0}}, Sense::kLessEqual, 4.0);
+  m.add_constraint({{x, 1000.0}, {y, 1e-11}}, Sense::kGreaterEqual, 0.0);
+  m.add_constraint({{x, 1.0}}, Sense::kEqual, 5.0);
+  const auto sol = solve(m);
+  ASSERT_TRUE(sol.optimal()) << sol.detail;
+  EXPECT_EQ(sol.x[0], 5.0);
+  EXPECT_EQ(sol.x[1], 2.0);
+  EXPECT_EQ(sol.objective, -8.0);
+}
+
 }  // namespace
 }  // namespace easched::lp
