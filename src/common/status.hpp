@@ -131,10 +131,12 @@ class [[nodiscard]] Result {
 };
 
 namespace detail {
-[[noreturn]] inline void check_failed(const char* expr, const char* file, int line,
-                                      const std::string& msg) {
-  throw std::logic_error(std::string("EASCHED_CHECK failed: ") + expr + " at " + file + ":" +
-                         std::to_string(line) + (msg.empty() ? "" : (" - " + msg)));
+// The text names the failed expression and message only: it reaches
+// daemon peers and CLI users (serve::build_problem forwards it), so it
+// carries no source path.
+[[noreturn]] inline void check_failed(const char* expr, const std::string& msg) {
+  throw std::logic_error(std::string("EASCHED_CHECK failed: ") + expr +
+                         (msg.empty() ? "" : (" - " + msg)));
 }
 }  // namespace detail
 
@@ -142,12 +144,12 @@ namespace detail {
 
 /// Precondition check: throws std::logic_error when violated.
 /// Used for programmer errors only; expected failures use Status.
-#define EASCHED_CHECK(expr)                                                          \
-  do {                                                                               \
-    if (!(expr)) ::easched::common::detail::check_failed(#expr, __FILE__, __LINE__, ""); \
+#define EASCHED_CHECK(expr)                                           \
+  do {                                                                \
+    if (!(expr)) ::easched::common::detail::check_failed(#expr, ""); \
   } while (false)
 
-#define EASCHED_CHECK_MSG(expr, msg)                                                  \
-  do {                                                                                \
-    if (!(expr)) ::easched::common::detail::check_failed(#expr, __FILE__, __LINE__, (msg)); \
+#define EASCHED_CHECK_MSG(expr, msg)                                     \
+  do {                                                                   \
+    if (!(expr)) ::easched::common::detail::check_failed(#expr, (msg)); \
   } while (false)

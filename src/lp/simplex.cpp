@@ -94,7 +94,7 @@ class Tableau {
     artificial_begin_ = nstruct_ + nslack;
     T_ = Matrix(static_cast<std::size_t>(m_) + 1, static_cast<std::size_t>(ncols_) + 1);
     basis_.assign(static_cast<std::size_t>(m_), -1);
-    dirty_.assign(static_cast<std::size_t>(m_) + 1, 1);
+    dirty_.assign(static_cast<std::size_t>(m_) + 1, true);
 
     int next_slack = nstruct_;
     int next_art = artificial_begin_;
@@ -173,7 +173,7 @@ class Tableau {
             cb * T_(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
       }
     }
-    dirty_[static_cast<std::size_t>(m_)] = 1;
+    dirty_[static_cast<std::size_t>(m_)] = true;
     phase1_ = false;
   }
 

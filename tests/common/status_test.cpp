@@ -85,6 +85,8 @@ TEST(Check, MessageNamesExpressionAndContext) {
     const std::string what = e.what();
     EXPECT_NE(what.find("2 + 2 == 5"), std::string::npos);
     EXPECT_NE(what.find("arithmetic is broken"), std::string::npos);
+    // The text reaches daemon peers and CLI users: no source path in it.
+    EXPECT_EQ(what.find("status_test.cpp"), std::string::npos) << what;
   }
 }
 

@@ -770,6 +770,23 @@ TEST(Serve, DeadlineAndReliabilitySweepsGetSeparateEntries) {
   daemon.server->stop();
 }
 
+TEST(Serve, RejectionTextCarriesNoSourcePath) {
+  auto daemon = Daemon::start({}, {});
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "paths");
+  ASSERT_TRUE(client.is_ok());
+  SolveRequest request;
+  request.problem = make_problem(12, 8, 1.6).spec;
+  request.problem.fmin = 2.0;  // above fmax: a model precondition fails
+  auto response = client.value().solve(request);
+  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+  const common::Status& status = response.value().status;
+  EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("fmin"), std::string::npos) << status.message();
+  EXPECT_EQ(status.message().find(".cpp:"), std::string::npos) << status.message();
+  EXPECT_EQ(status.message().find(".hpp:"), std::string::npos) << status.message();
+  daemon.server->stop();
+}
+
 TEST(Serve, RejectedSpecIsNeverMemoized) {
   auto daemon = Daemon::start({}, {});
   const auto problem = make_problem(35, 8, 1.6);
