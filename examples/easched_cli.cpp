@@ -140,6 +140,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "api/batch.hpp"
@@ -167,11 +168,33 @@ namespace {
 
 using namespace easched;
 
+/// A flag's number, read through to the end of its text: std::stod and
+/// friends stop at the first character they cannot read, so "12abc" would
+/// pass as 12. Throws std::invalid_argument (a logic_error) on trailing
+/// characters, as the std parsers do on a malformed number.
+template <typename T>
+T parse_number(const std::string& text) {
+  std::size_t used = 0;
+  T value{};
+  if constexpr (std::is_same_v<T, double>) {
+    value = std::stod(text, &used);
+  } else if constexpr (std::is_same_v<T, int>) {
+    value = std::stoi(text, &used);
+  } else if constexpr (std::is_same_v<T, long long>) {
+    value = std::stoll(text, &used);
+  } else {
+    static_assert(std::is_same_v<T, unsigned long long>);
+    value = std::stoull(text, &used);
+  }
+  if (used != text.size()) throw std::invalid_argument("trailing characters: " + text);
+  return value;
+}
+
 std::vector<double> parse_levels(const std::string& arg) {
   std::vector<double> out;
   std::stringstream ss(arg);
   std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stod(item));
+  while (std::getline(ss, item, ',')) out.push_back(parse_number<double>(item));
   return out;
 }
 
@@ -282,7 +305,7 @@ bool parse_args(int argc, char** argv, int first, CliArgs& args) {
     };
     // A non-negative size (0 = unbounded); false after printing if negative.
     auto read_size = [&](std::size_t& out) {
-      const long long value = std::stoll(next());
+      const long long value = parse_number<long long>(next());
       if (value < 0) {
         std::cerr << arg << " must be >= 0\n";
         return false;
@@ -292,48 +315,48 @@ bool parse_args(int argc, char** argv, int first, CliArgs& args) {
     };
     try {
       if (arg == "--deadline") {
-        args.deadline = std::stod(next());
+        args.deadline = parse_number<double>(next());
       } else if (arg == "--processors") {
-        args.processors = std::stoi(next());
+        args.processors = parse_number<int>(next());
       } else if (arg == "--fmin") {
-        args.fmin = std::stod(next());
+        args.fmin = parse_number<double>(next());
       } else if (arg == "--fmax") {
-        args.fmax = std::stod(next());
+        args.fmax = parse_number<double>(next());
       } else if (arg == "--levels") {
         args.levels = parse_levels(next());
       } else if (arg == "--vdd") {
         args.vdd = true;
       } else if (arg == "--frel") {
-        args.frel = std::stod(next());
+        args.frel = parse_number<double>(next());
       } else if (arg == "--lambda0") {
-        args.lambda0 = std::stod(next());
+        args.lambda0 = parse_number<double>(next());
       } else if (arg == "--dexp") {
-        args.dexp = std::stod(next());
+        args.dexp = parse_number<double>(next());
       } else if (arg == "--solver") {
         args.solver_name = next();
       } else if (arg == "--solvers") {
         args.solvers = parse_names(next());
       } else if (arg == "--slack") {
-        slack = std::stod(next());
+        slack = parse_number<double>(next());
       } else if (arg == "--threads") {
-        const int n = std::stoi(next());
+        const int n = parse_number<int>(next());
         if (n < 1) {
           std::cerr << "--threads must be >= 1\n";
           return false;
         }
         args.threads = static_cast<std::size_t>(n);
       } else if (arg == "--dmin") {
-        args.dmin = std::stod(next());
+        args.dmin = parse_number<double>(next());
       } else if (arg == "--dmax") {
-        args.dmax = std::stod(next());
+        args.dmax = parse_number<double>(next());
       } else if (arg == "--rmin") {
-        args.rmin = std::stod(next());
+        args.rmin = parse_number<double>(next());
       } else if (arg == "--rmax") {
-        args.rmax = std::stod(next());
+        args.rmax = parse_number<double>(next());
       } else if (arg == "--points") {
-        args.points = std::stoi(next());
+        args.points = parse_number<int>(next());
       } else if (arg == "--max-points") {
-        args.max_points = std::stoi(next());
+        args.max_points = parse_number<int>(next());
       } else if (arg == "--cache-cap") {
         if (!read_size(args.cache_cap)) return false;
       } else if (arg == "--cache-cap-bytes") {
@@ -366,17 +389,17 @@ bool parse_args(int argc, char** argv, int first, CliArgs& args) {
       } else if (arg == "--tenant-quota") {
         if (!read_size(args.tenant_quota)) return false;
       } else if (arg == "--job-deadline-ms") {
-        args.job_deadline_ms = std::stod(next());
+        args.job_deadline_ms = parse_number<double>(next());
       } else if (arg == "--seed") {
-        args.sim_seed = std::stoull(next());
+        args.sim_seed = parse_number<unsigned long long>(next());
       } else if (arg == "--streams") {
-        args.streams = std::stoi(next());
+        args.streams = parse_number<int>(next());
         if (args.streams < 1) {
           std::cerr << "--streams must be >= 1\n";
           return false;
         }
       } else if (arg == "--horizon") {
-        args.horizon = std::stod(next());
+        args.horizon = parse_number<double>(next());
         if (args.horizon <= 0.0) {
           std::cerr << "--horizon must be positive\n";
           return false;
@@ -388,13 +411,13 @@ bool parse_args(int argc, char** argv, int first, CliArgs& args) {
       } else if (arg == "--ladder") {
         args.ladder = true;
       } else if (arg == "--static-power") {
-        args.static_power = std::stod(next());
+        args.static_power = parse_number<double>(next());
         if (args.static_power < 0.0) {
           std::cerr << "--static-power must be >= 0\n";
           return false;
         }
       } else if (arg == "--wake-energy") {
-        args.wake_energy = std::stod(next());
+        args.wake_energy = parse_number<double>(next());
         if (args.wake_energy < 0.0) {
           std::cerr << "--wake-energy must be >= 0\n";
           return false;
@@ -424,7 +447,8 @@ bool parse_args(int argc, char** argv, int first, CliArgs& args) {
         args.dag_paths.push_back(arg);
       }
     } catch (const std::logic_error&) {
-      // std::stod and friends throw on a malformed or out-of-range number.
+      // parse_number throws on a malformed, out-of-range or trailing-garbage
+      // number.
       std::cerr << "bad value for " << arg << ": '" << argv[i] << "'\n";
       return false;
     }
@@ -1232,7 +1256,7 @@ bool parse_host_port(const std::string& spec, std::string& host, int& port) {
   if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) return false;
   host = spec.substr(0, colon);
   try {
-    port = std::stoi(spec.substr(colon + 1));
+    port = parse_number<int>(spec.substr(colon + 1));
   } catch (const std::exception&) {
     return false;
   }

@@ -178,6 +178,7 @@ expect_error() {
 expect_error 'processors must be >= 1' "$tmp_dir/smoke.dag" --deadline 14 --processors 0
 expect_error 'need 0 < fmin <= fmax' "$tmp_dir/smoke.dag" --deadline 14 --fmin 2 --fmax 1
 expect_error "bad value for --deadline: 'abc'" "$tmp_dir/smoke.dag" --deadline abc
+expect_error "bad value for --deadline: '12abc'" "$tmp_dir/smoke.dag" --deadline 12abc
 expect_error 'need 1 <= initial_points <= max_points' \
   frontier "$tmp_dir/smoke.dag" --dmin 8 --dmax 14 --points 0
 expect_error 'processors must be >= 1' \
