@@ -4,17 +4,21 @@
 // VDD-continuous gap far smaller than the discrete-continuous gap; the
 // neighbour-mix rounding of the continuous solution ~matches the LP.
 //
-// With --json-out FILE the sandwich check and the worst vdd/cont and
-// disc/cont ratios are written as JSON for scripts/bench_snapshot.sh.
+// With --json-out FILE the sandwich check, the worst vdd/cont and
+// disc/cont ratios, and the LP's median pivots and wall ms per solve
+// (median and interquartile range) are written as JSON for
+// scripts/bench_snapshot.sh.
 
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "bicrit/continuous_dag.hpp"
 #include "bicrit/discrete_exact.hpp"
 #include "bicrit/vdd_lp.hpp"
+#include "common/stats.hpp"
 #include "graph/generators.hpp"
 #include "sched/list_scheduler.hpp"
 
@@ -36,6 +40,8 @@ int main(int argc, char** argv) {
   double max_vdd_over_cont = 0.0;
   double max_disc_over_cont = 0.0;
   bool sandwich_ok = true;
+  std::vector<double> lp_pivots;
+  std::vector<double> lp_ms;
   for (int trial = 0; trial < 4; ++trial) {
     const auto dag = graph::make_random_dag(9, 0.25, {1.0, 5.0}, rng);
     const auto mapping = sched::list_schedule(dag, 3, sched::PriorityPolicy::kCriticalPath);
@@ -43,7 +49,9 @@ int main(int argc, char** argv) {
     for (double slack : {1.3, 2.0, 3.5}) {
       const double D = base * slack;
       auto r_cont = bicrit::solve_continuous(dag, mapping, D, cont);
+      bench::Stopwatch sw;
       auto r_vdd = bicrit::solve_vdd_lp(dag, mapping, D, vdd);
+      const double vdd_ms = sw.ms();
       auto r_disc = bicrit::solve_discrete_bnb(dag, mapping, D, disc);
       if (!r_cont.is_ok() || !r_vdd.is_ok() || !r_disc.is_ok()) continue;
       auto r_mix = bicrit::vdd_from_continuous(dag, r_cont.value().durations, vdd);
@@ -53,6 +61,8 @@ int main(int argc, char** argv) {
       max_disc_over_cont = std::max(max_disc_over_cont, disc_ratio);
       // The sandwich with solver-tolerance headroom: CONT <= VDD <= DISC.
       if (vdd_ratio < 1.0 - 1e-6 || disc_ratio < vdd_ratio - 1e-6) sandwich_ok = false;
+      lp_pivots.push_back(r_vdd.value().lp_iterations);
+      lp_ms.push_back(vdd_ms);
       ++rows;
       table.add_row(
           {"rand" + std::to_string(trial), common::format_fixed(slack, 1),
@@ -71,6 +81,13 @@ int main(int argc, char** argv) {
         << "  \"rows\": " << rows << ",\n"
         << "  \"max_vdd_over_cont\": " << common::format_g(max_vdd_over_cont) << ",\n"
         << "  \"max_disc_over_cont\": " << common::format_g(max_disc_over_cont) << ",\n"
+        << "  \"lp_pivots_median\": " << common::format_g(common::percentile(lp_pivots, 0.5))
+        << ",\n"
+        << "  \"lp_ms_per_solve_median\": " << common::format_g(common::percentile(lp_ms, 0.5))
+        << ",\n"
+        << "  \"lp_ms_per_solve_iqr\": "
+        << common::format_g(common::percentile(lp_ms, 0.75) - common::percentile(lp_ms, 0.25))
+        << ",\n"
         << "  \"sandwich_ok\": " << (sandwich_ok ? "true" : "false") << "\n"
         << "}\n";
   }

@@ -8,7 +8,10 @@
 # the engine façade), the solver-family accuracy/speed headlines, and the
 # serving tier's warm-daemon throughput and overload-shedding numbers,
 # the online-policy competitive ratios vs the offline oracle, and the
-# reliability simulator's model-vs-Monte-Carlo headlines.
+# reliability simulator's model-vs-Monte-Carlo headlines, and the
+# solver kernels' work and wall time per solve (barrier Newton steps on
+# the continuous DAG corpus, simplex pivots on the VDD LPs). The file is
+# stamped with the host: measured parallelism, compiler and build type.
 # Future PRs diff their own snapshot against the committed numbers
 # instead of eyeballing one noisy run.
 #
@@ -27,7 +30,8 @@ build_dir="${2:-$repo_root/build-bench}"
 
 benches=(bench_frontier_sweep bench_store_restart bench_batch_throughput
          bench_fork_closed_form bench_sp_closed_form bench_vdd_lp
-         bench_serve_load bench_sim_policies bench_reliability_sim)
+         bench_continuous_dag bench_serve_load bench_sim_policies
+         bench_reliability_sim)
 
 cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Release \
@@ -57,10 +61,30 @@ for bench in "${benches[@]}"; do
   done
 done
 
-python3 - "$tmp_dir" "$runs" "$repo_root/BENCH_frontier.json" <<'PY'
-import json, statistics, sys
+cxx="$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' "$build_dir/CMakeCache.txt")"
+compiler="$("$cxx" --version | head -n1)"
 
-tmp_dir, runs, out_path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+python3 - "$tmp_dir" "$runs" "$repo_root/BENCH_frontier.json" "$compiler" <<'PY'
+import json, multiprocessing, os, statistics, sys, time
+
+tmp_dir, runs, out_path, compiler = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+
+def spin(_=None):
+    start = time.perf_counter()
+    x = 0
+    for i in range(3_000_000):
+        x = (x * 31 + i) & 0xFFFFFFFF
+    return time.perf_counter() - start
+
+def measured_parallelism():
+    # n processes each doing one process's work (t1) finish together in
+    # tn, so n * t1 / tn is the number of cores they actually got.
+    n = os.cpu_count() or 1
+    one = spin()
+    start = time.perf_counter()
+    with multiprocessing.Pool(n) as pool:
+        pool.map(spin, range(n))
+    return round(n * one / (time.perf_counter() - start), 2)
 
 def load(bench):
     return [json.load(open(f"{tmp_dir}/{bench}_{i}.json")) for i in range(runs)]
@@ -71,6 +95,7 @@ batch = load("bench_batch_throughput")
 fork_cf = load("bench_fork_closed_form")
 sp_cf = load("bench_sp_closed_form")
 vdd = load("bench_vdd_lp")
+cont = load("bench_continuous_dag")
 serve = load("bench_serve_load")
 sim_pol = load("bench_sim_policies")
 rel_sim = load("bench_reliability_sim")
@@ -78,8 +103,17 @@ rel_sim = load("bench_reliability_sim")
 def med(samples, key):
     return statistics.median(s[key] for s in samples)
 
+def spread(samples, key):
+    values = [s[key] for s in samples]
+    return max(values) - min(values)
+
 snapshot = {
     "runs": runs,
+    "host": {
+        "measured_parallelism": measured_parallelism(),
+        "compiler": compiler,
+        "build_type": "Release",
+    },
     # frontier sweep path (bench_frontier_sweep)
     "cold_ms": med(frontier, "cold_ms"),
     "warm_ms": med(frontier, "warm_ms"),
@@ -136,6 +170,19 @@ snapshot = {
             "max_vdd_over_cont": med(vdd, "max_vdd_over_cont"),
             "max_disc_over_cont": med(vdd, "max_disc_over_cont"),
             "sandwich_ok": all(s["sandwich_ok"] for s in vdd),
+            "lp_pivots_median": med(vdd, "lp_pivots_median"),
+            "lp_ms_per_solve_median": med(vdd, "lp_ms_per_solve_median"),
+            "lp_ms_per_solve_iqr": med(vdd, "lp_ms_per_solve_iqr"),
+            "lp_ms_per_solve_median_spread": spread(vdd, "lp_ms_per_solve_median"),
+        },
+        # barrier interior point on the continuous DAG corpus
+        # (bench_continuous_dag): Newton steps and wall time per solve
+        "continuous_dag": {
+            "solves": cont[0]["solves"],
+            "newton_steps_median": med(cont, "newton_steps_median"),
+            "ms_per_solve_median": med(cont, "ms_per_solve_median"),
+            "ms_per_solve_iqr": med(cont, "ms_per_solve_iqr"),
+            "ms_per_solve_median_spread": spread(cont, "ms_per_solve_median"),
         },
     },
     # serving tier (bench_serve_load): warm daemon vs per-process solves,
